@@ -1,22 +1,21 @@
-"""Policy-pipeline microbenchmarks: goodput pass + solver tiers at scale.
+"""Policy-pipeline microbenchmarks: goodput pass + solver backends at scale.
 
 Measures, per (cluster size, job count) point:
 
-* full policy round latency (bootstrap + goodput_eval + solve + placement),
-  vectorized and scalar, via the observability phase spans (sizes <= 256 —
-  the scalar pipeline is too slow to be worth timing beyond that);
-* per-solver-backend columns (``milp``, ``lp_round``, ``decomposed``,
-  ``tiered``): round latency, solve-phase time, first-round objective and
-  its gap vs the MILP reference when the MILP column ran — the solver-tier
-  scaling story up to 4096 GPUs / 1024 jobs;
-* the goodput_eval speedup the vectorized pipeline delivers;
+* full policy round latency (bootstrap + goodput_eval + solve + placement)
+  via the observability phase spans;
+* per-solver-backend columns (``milp`` and ``lp_round`` by default): round
+  latency, solve-phase time, first-round objective and its gap vs the MILP
+  reference — the solver scaling story up to 4096 GPUs / 1024 jobs;
 * steady-state estimator cache hit rate across consecutive rounds.
 
 Results land in ``BENCH_policy.json``.  ``--check-baseline`` compares the
-vectorized round latencies against a committed baseline and exits non-zero
-on a > ``--regression-factor`` (default 2x) slowdown, which is how CI gates
-performance regressions.  ``--sizes`` / ``--backends`` narrow a run (CI
-uses ``--sizes 1024`` for the large-point gate without paying for 4096).
+``milp`` round latencies (stored under the point's ``vectorized`` key, the
+gated column's historical name) against a committed baseline and exits
+non-zero on a > ``--regression-factor`` (default 2x) slowdown, which is
+how CI gates performance regressions.  ``--sizes`` / ``--backends`` narrow
+a run (CI uses ``--sizes 1024`` for the large-point gate without paying
+for 4096).
 
 ``--stream-overhead`` instead measures what the live telemetry plane
 (streaming JSONL exporters + SLO evaluation, see ``repro.obs.stream``)
@@ -41,7 +40,6 @@ from repro.cluster import presets
 from repro.core.policy import SiaPolicyParams
 from repro.core.types import ProfilingMode
 from repro.obs.tracer import Tracer
-from repro.perf import estimator as est_mod
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import PLAN_PHASES, JobView
 from repro.workloads import helios_trace
@@ -49,17 +47,8 @@ from repro.workloads import helios_trace
 #: active jobs per 64 GPUs (paper-proportional load, as in Figure 9).
 JOBS_PER_64 = 16
 
-#: largest size where the scalar goodput pipeline and the exact-MILP
-#: reference column are still affordable to time.
-FULL_COMPARE_MAX_GPUS = 256
-
-
-def default_backends(size: int) -> tuple[str, ...]:
-    """Solver columns per point: the MILP reference is measured only where
-    it is affordable; the fast tiers are measured everywhere."""
-    if size <= FULL_COMPARE_MAX_GPUS:
-        return ("milp", "lp_round", "decomposed", "tiered")
-    return ("lp_round", "decomposed", "tiered")
+#: solver columns measured at every point; ``milp`` is the gated one.
+DEFAULT_BACKENDS = ("milp", "lp_round")
 
 
 def make_views(scheduler, cluster, n_jobs: int) -> list[JobView]:
@@ -139,25 +128,17 @@ def _column(result: dict) -> dict:
     }
 
 
-def measure_backend(cluster, n_jobs: int, rounds: int, solver: str,
-                    vectorized: bool = True) -> dict:
+def measure_backend(cluster, n_jobs: int, rounds: int, solver: str) -> dict:
     """One (point, solver backend) measurement from a fresh job trace."""
-    est_mod.DEFAULT_VECTORIZED = vectorized
-    try:
-        scheduler = SiaScheduler(SiaPolicyParams(vectorized=vectorized,
-                                                 solver=solver))
-        views = make_views(scheduler, cluster, n_jobs)
-        return run_rounds(scheduler, cluster, views, rounds)
-    finally:
-        est_mod.DEFAULT_VECTORIZED = True
+    scheduler = SiaScheduler(SiaPolicyParams(solver=solver))
+    views = make_views(scheduler, cluster, n_jobs)
+    return run_rounds(scheduler, cluster, views, rounds)
 
 
 def measure_point(size: int, n_jobs: int, rounds: int,
-                  backends: tuple[str, ...] | None = None) -> dict:
+                  backends: tuple[str, ...] = DEFAULT_BACKENDS) -> dict:
     cluster = presets.scaled_heterogeneous(size)
     point: dict = {"gpus": size, "jobs": n_jobs, "rounds": rounds}
-    if backends is None:
-        backends = default_backends(size)
 
     point["backends"] = {}
     for solver in backends:
@@ -173,23 +154,10 @@ def measure_point(size: int, n_jobs: int, rounds: int,
             column["optimality_gap_first"] = \
                 (milp_obj - column["objective_first"]) / abs(milp_obj)
 
-    # The vectorized-vs-scalar goodput comparison (PR 4's story), and the
-    # legacy ``vectorized`` column the baseline gate reads.  Past the
-    # full-compare cutoff the scalar pipeline would dominate the wall
-    # clock, so the tiered column stands in as the gated latency.
-    if size <= FULL_COMPARE_MAX_GPUS:
-        point["vectorized"] = point["backends"].get("milp") or _column(
-            measure_backend(cluster, n_jobs, rounds, "milp"))
-        point["scalar"] = _column(
-            measure_backend(cluster, n_jobs, rounds, "milp",
-                            vectorized=False))
-        scalar_eval = point["scalar"]["goodput_eval_cold"]
-        vector_eval = point["vectorized"]["goodput_eval_cold"]
-        point["goodput_eval_speedup"] = scalar_eval / vector_eval \
-            if vector_eval else float("inf")
-    else:
-        point["vectorized"] = point["backends"].get("tiered") \
-            or next(iter(point["backends"].values()))
+    # The gated latency, under the key the committed baseline stores it:
+    # the MILP column, or the first measured one when --backends drops it.
+    point["vectorized"] = point["backends"].get("milp") \
+        or next(iter(point["backends"].values()))
     return point
 
 
@@ -303,7 +271,7 @@ def measure_stream_overhead(quick: bool, repeats: int = 3) -> dict:
 
 
 def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
-              backends: tuple[str, ...] | None = None) -> dict:
+              backends: tuple[str, ...] = DEFAULT_BACKENDS) -> dict:
     if sizes is None:
         sizes = (64,) if quick else (64, 128, 256, 1024, 4096)
     rounds = 2 if quick else 3
@@ -341,8 +309,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(overrides --quick's size selection)")
     parser.add_argument("--backends", type=str, default=None,
                         help="comma-separated solver backends to column "
-                             "(default: per-size, MILP reference <= "
-                             f"{FULL_COMPARE_MAX_GPUS} GPUs only)")
+                             f"(default: {','.join(DEFAULT_BACKENDS)})")
     parser.add_argument("--out", type=Path, default=Path("BENCH_policy.json"))
     parser.add_argument("--check-baseline", type=Path, default=None,
                         help="baseline JSON to gate regressions against")
@@ -374,21 +341,16 @@ def main(argv: list[str] | None = None) -> int:
 
     sizes = tuple(int(s) for s in args.sizes.split(",")) \
         if args.sizes else None
-    backends = tuple(args.backends.split(",")) if args.backends else None
+    backends = tuple(args.backends.split(",")) if args.backends \
+        else DEFAULT_BACKENDS
     report = run_bench(args.quick, sizes=sizes, backends=backends)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     for point in report["points"]:
         vec = point["vectorized"]
-        line = (f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "
-                f"round {vec['round_latency_median'] * 1e3:8.1f} ms")
-        if "scalar" in point:
-            line += (f" (scalar "
-                     f"{point['scalar']['round_latency_median'] * 1e3:8.1f}"
-                     f" ms), goodput_eval speedup "
-                     f"{point['goodput_eval_speedup']:.1f}x,")
-        line += f" cache hit rate {vec['cache_hit_rate']:.0%}"
-        print(line)
+        print(f"{point['gpus']:5d} GPUs / {point['jobs']:4d} jobs: "
+              f"round {vec['round_latency_median'] * 1e3:8.1f} ms, "
+              f"cache hit rate {vec['cache_hit_rate']:.0%}")
         for solver, column in point.get("backends", {}).items():
             gap = column.get("optimality_gap_first")
             gap_text = f", gap {gap:+.2%}" if gap is not None else ""

@@ -56,7 +56,7 @@ class ReplayOverrides:
 
     #: scheduler to swap in at the fork round (e.g. 'gavel').
     policy: str | None = None
-    #: ILP backend to rebind on a Sia scheduler ('milp'/'exact'/'greedy').
+    #: ILP backend to rebind on a Sia scheduler ('milp'/'lp_round'/'greedy').
     solver_backend: str | None = None
     #: reseed every fault model ("different luck" from the fork on).
     fault_seed: int | None = None

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 from repro.cluster.cluster import Cluster
 from repro.core import matrix as gm
 from repro.core.configs import build_config_set
-from repro.core.ilp import AssignmentProblem, AssignmentSolution, solve_assignment
+from repro.core.ilp import (BACKENDS, AssignmentProblem, AssignmentSolution,
+                            solve_assignment)
 from repro.core.types import Configuration, PolicyDecision
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -44,10 +45,10 @@ class SiaPolicyParams:
     #: per-round scale-up cap (Section 3.1; "at most 2x per round").
     scale_up_factor: int = 2
     #: ILP backend — any of :data:`repro.core.ilp.BACKENDS` ('milp',
-    #: 'lp_round', 'decomposed', 'tiered', 'greedy', 'exact').
+    #: 'lp_round', 'greedy').
     solver: str = "milp"
     #: thread last round's allocations into the solver as a warm start:
-    #: the LP-rounding/decomposed tiers use it to keep allocations sticky
+    #: the LP-rounding backend uses it to keep allocations sticky
     #: across equivalent optima, and it feeds the reuse check below.  The
     #: MILP backend ignores it (scipy exposes no incumbent API), so the
     #: default is decision-neutral.
@@ -59,14 +60,14 @@ class SiaPolicyParams:
     reuse_tolerance: float | None = None
     #: disable the restart factor (ablation).
     use_restart_factor: bool = True
-    #: evaluate each job's utility row through the estimator's batched
-    #: ``goodput_batch`` entry point when available (one vectorized pass per
-    #: row) instead of a per-configuration scalar loop.  Both paths produce
-    #: identical decisions; the flag exists for A/B benchmarking.
-    vectorized: bool = True
     #: when set, route the ILP through a ResilientSolver (budget + fallback
     #: chain + circuit breaker); None keeps the direct solver call.
     resilience: "ResilienceConfig | None" = None
+
+    def __post_init__(self) -> None:
+        if self.solver not in BACKENDS:
+            raise ValueError(f"unknown solver backend {self.solver!r}; "
+                             f"choose from {BACKENDS}")
 
 
 class SiaPolicy:
@@ -189,24 +190,14 @@ class SiaPolicy:
             config_pos = gm.config_index_map(configs)
 
         with tracer.span("goodput_eval", jobs=len(views), configs=n_configs):
-            use_batch = self.params.vectorized
             goodputs: list[dict[int, float]] = []
             for view in views:
                 feasible = self.feasible_configs(view, configs, config_pos)
-                row: dict[int, float] = {}
-                batch = getattr(view.estimator, "goodput_batch", None) \
-                    if use_batch else None
-                if batch is not None:
-                    values = batch([configs[j] for j in feasible])
-                    for j, value in zip(feasible, values):
-                        if value > 0:
-                            row[j] = float(value)
-                else:
-                    for j in feasible:
-                        value = view.estimator.goodput(configs[j])
-                        if value > 0:
-                            row[j] = value
-                goodputs.append(row)
+                values = view.estimator.goodput_batch(
+                    [configs[j] for j in feasible])
+                goodputs.append({j: float(value)
+                                 for j, value in zip(feasible, values)
+                                 if value > 0})
 
             raw = gm.build_goodput_matrix(goodputs, n_configs)
             min_gpus = [v.job.effective_min_gpus for v in views]

@@ -183,8 +183,13 @@ class ResilientSolver:
         ``warm_start``/``reuse_tolerance`` are forwarded to every backend
         attempt (see :func:`repro.core.ilp.solve_assignment`); the returned
         backend name is the solution's concrete backend when it differs
-        from the tier tried (``tiered`` resolution, ``reuse`` skips).
+        from the tier tried (``reuse`` skips).  An unknown ``primary`` is a
+        caller bug, not solver trouble: it raises ``ValueError`` instead of
+        degrading to the fallback chain.
         """
+        if primary not in ilp.BACKENDS:
+            raise ValueError(f"unknown solver backend {primary!r}; "
+                             f"choose from {ilp.BACKENDS}")
         budget = self.config.solve_budget_s
         if self._breaker_open_rounds > 0:
             self._breaker_open_rounds -= 1

@@ -46,11 +46,6 @@ _PRIOR_PARAMS = ThroughputParams(alpha_c=0.05, beta_c=0.01,
 #: "typically 10 batchsizes per GPU type").
 PROFILE_POINTS_PER_TYPE = 10
 
-#: Process-wide default for new estimators: evaluate batch-plan grids with
-#: the vectorized pipeline (True) or the legacy scalar loop (False).  The
-#: perf benchmarks and equivalence tests flip this to compare both paths.
-DEFAULT_VECTORIZED = True
-
 
 @dataclass
 class JobConstraints:
@@ -101,14 +96,11 @@ class JobPerfEstimator:
 
     def __init__(self, model_name: str, constraints: JobConstraints,
                  gpu_types: tuple[str, ...],
-                 mode: ProfilingMode = ProfilingMode.BOOTSTRAP,
-                 *, vectorized: bool | None = None):
+                 mode: ProfilingMode = ProfilingMode.BOOTSTRAP):
         self.model_name = model_name
         self.constraints = constraints
         self.gpu_types = gpu_types
         self.mode = mode
-        self.vectorized = DEFAULT_VECTORIZED if vectorized is None \
-            else vectorized
         self._types: dict[str, _TypeState] = {t: _TypeState() for t in gpu_types}
         self.profiling_gpu_seconds = 0.0
         self._efficiency = self._initial_efficiency()
@@ -461,8 +453,7 @@ class JobPerfEstimator:
         if cap < 1:
             return None
         adapter = _ThroughputAdapter(self, config.gpu_type)
-        model = GoodputModel(adapter, self._efficiency,
-                             vectorized=self.vectorized)
+        model = GoodputModel(adapter, self._efficiency)
         return model.optimize_batch_size(
             config.num_gpus, config.num_nodes,
             max_local_bsz=cap,

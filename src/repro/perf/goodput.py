@@ -72,20 +72,19 @@ def candidate_local_sizes(lo: int, hi: int, *, max_candidates: int = 24) -> list
 class GoodputModel:
     """Combines one throughput model with the job's efficiency model.
 
-    ``vectorized`` selects the batched grid evaluation (one numpy pass over
-    the whole (accum_steps x candidate-local-bsz) grid) over the legacy
-    scalar loop.  Both produce identical plans: the vectorized pass ranks
-    candidates in bulk, then re-evaluates the (tiny) shortlist of maxima
-    through the scalar path so returned numbers are bit-identical.
+    Throughput models with a ``throughput_batch`` method get the batched
+    grid evaluation (one numpy pass over the whole (accum_steps x
+    candidate-local-bsz) grid); others get the scalar reference loop.  Both
+    produce identical plans: the vectorized pass ranks candidates in bulk,
+    then re-evaluates the (tiny) shortlist of maxima through the scalar
+    path so returned numbers are bit-identical.
     """
 
     def __init__(self, throughput_model: ThroughputModel,
-                 efficiency_model: EfficiencyModel, *,
-                 vectorized: bool = True):
+                 efficiency_model: EfficiencyModel):
         self.throughput_model = throughput_model
         self.efficiency_model = efficiency_model
-        self.vectorized = vectorized and hasattr(throughput_model,
-                                                 "throughput_batch")
+        self.vectorized = hasattr(throughput_model, "throughput_batch")
 
     def evaluate(self, local_bsz: int, num_gpus: int, num_nodes: int,
                  accum_steps: int = 1) -> BatchPlan:

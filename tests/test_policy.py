@@ -3,11 +3,14 @@ restart stickiness, non-preemption, allocation incentive."""
 
 import pytest
 
+from repro.core import policy as policy_mod
+from repro.core.ilp import BACKENDS, solve_assignment
 from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.types import AdaptivityMode, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers.base import JobView
+from tests.certify import solve_exact
 
 
 def view_for(job, cluster, *, current=None, age=0.0, restarts=0,
@@ -155,7 +158,7 @@ class TestCapacity:
 
 
 class TestSolverBackends:
-    @pytest.mark.parametrize("backend", ["milp", "exact", "greedy"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_backends_produce_valid_assignments(self, hetero_cluster,
                                                     backend):
         policy = SiaPolicy(SiaPolicyParams(solver=backend))
@@ -164,14 +167,30 @@ class TestSolverBackends:
         decision = policy.decide(views, hetero_cluster, 0.0)
         assert decision.assignments  # someone got resources
 
-    def test_milp_and_exact_agree_on_objective(self, hetero_cluster):
+    def test_milp_and_exact_agree_on_objective(self, hetero_cluster,
+                                               monkeypatch):
+        """The policy's MILP optimum, certified by brute force on the very
+        assignment problem the policy built."""
+        captured = []
+
+        def capture(problem, **kwargs):
+            captured.append(problem)
+            return solve_assignment(problem, **kwargs)
+
         views = [view_for(make_job(f"j{i}", "bert", 0.0), hetero_cluster)
                  for i in range(4)]
+        monkeypatch.setattr(policy_mod, "solve_assignment", capture)
         milp = SiaPolicy(SiaPolicyParams(solver="milp")).decide(
             views, hetero_cluster, 0.0)
-        exact = SiaPolicy(SiaPolicyParams(solver="exact")).decide(
-            views, hetero_cluster, 0.0)
+        assert len(captured) == 1
+        exact = solve_exact(captured[0])
         assert milp.objective == pytest.approx(exact.objective, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["mlip", "tiered", "decomposed",
+                                      "exact"])
+    def test_unknown_solver_rejected(self, name):
+        with pytest.raises(ValueError, match="choose from"):
+            SiaPolicyParams(solver=name)
 
 
 class TestSolveTime:

@@ -75,6 +75,15 @@ class TestResilientSolver:
         with pytest.raises(ValueError, match="unknown fallback"):
             ResilienceConfig(fallback_chain=("nope",))
 
+    def test_unknown_primary_raises_instead_of_degrading(self):
+        """A misspelt primary is a caller bug: it must not be recorded as a
+        solver error and silently served by the fallback chain."""
+        solver = ResilientSolver()
+        with pytest.raises(ValueError, match="choose from"):
+            solver.solve(problem(), primary="mlip")
+        assert solver.attempt_outcomes == {}
+        assert solver.stats == {"breaker_trips": 0}
+
     def test_breaker_opens_then_closes(self, monkeypatch):
         attempts = {"n": 0}
 

@@ -1,6 +1,6 @@
-"""Solver tiers: LP-rounding/decomposition quality bounds, warm-start and
-reuse semantics, tiered selection, deterministic fallbacks, telemetry round
-trips with the new backends, and the replay fork path."""
+"""Solver tiers: LP-rounding quality bounds, warm-start and reuse
+semantics, deterministic fallbacks, telemetry round trips with the
+``lp_round`` backend, and the replay fork path."""
 
 from types import SimpleNamespace
 
@@ -12,14 +12,13 @@ from repro.analysis.replay import (ReplayOverrides, build_run_spec, replay,
                                    simulator_from_spec)
 from repro.core import fork as forklib
 from repro.core import ilp
-from repro.core.ilp import AssignmentProblem, select_backend, solve_assignment
+from repro.core.ilp import AssignmentProblem, solve_assignment
 from repro.core.matrix import config_index_map, warm_start_pairs
 from repro.core.policy import SiaPolicy, SiaPolicyParams
 from repro.core.resilience import ResilienceConfig, ResilientScheduler
 from repro.core.types import Allocation, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.audit import allocation_persistence
-from repro.obs.tracer import SOLVER_SPANS, Tracer
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import JobView
@@ -27,12 +26,11 @@ from repro.sim import simulate
 from repro.sim.chaos import diff_results
 from repro.workloads.generators import trace_by_name
 
-#: documented worst-case optimality gaps on adversarial dense random
+#: documented worst-case optimality gap on adversarial dense random
 #: instances with tight capacity (DESIGN.md "Solver tiers"); calibrated
-#: with margin over 20 seeds (measured worst: lp_round 4.3%, decomposed
-#: 18.8%).  Policy-shaped instances are near-integral and land at ~0%.
+#: with margin over 20 seeds (measured worst: 4.3%).  Policy-shaped
+#: instances are near-integral and land at ~0%.
 LP_ROUND_GAP = 0.07
-DECOMPOSED_GAP = 0.25
 
 
 def random_problem(seed: int, n_jobs: int = 24, density: float = 0.7,
@@ -65,8 +63,8 @@ def view_for(job, cluster, *, current=None, age=0.0) -> JobView:
 
 
 class TestQualityHarness:
-    """Satellite: lp_round and decomposed within bounded optimality gap of
-    the MILP reference, exact where the LP relaxation is integral."""
+    """Satellite: lp_round within bounded optimality gap of the MILP
+    reference, exact where the LP relaxation is integral."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lp_round_gap_bounded(self, seed):
@@ -76,13 +74,6 @@ class TestQualityHarness:
         assert gap(ref.objective, fast.objective) <= LP_ROUND_GAP
         # The LP bound certifies from above: bound >= integral optimum.
         assert fast.lp_bound >= ref.objective - 1e-9
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_decomposed_gap_bounded(self, seed):
-        problem = random_problem(seed)
-        ref = solve_assignment(problem, backend="milp")
-        fast = solve_assignment(problem, backend="decomposed")
-        assert gap(ref.objective, fast.objective) <= DECOMPOSED_GAP
 
     @pytest.mark.parametrize("seed", range(5))
     def test_integral_lp_is_exact(self, seed):
@@ -99,7 +90,7 @@ class TestQualityHarness:
         jobs = [make_job(f"j{i}", name, 0.0) for i, name in
                 enumerate(["bert", "deepspeech2", "resnet18", "resnet50"])]
         reference = None
-        for backend in ("milp", "lp_round", "decomposed", "tiered"):
+        for backend in ("milp", "lp_round"):
             policy = SiaPolicy(SiaPolicyParams(solver=backend))
             views = [view_for(job, hetero_cluster) for job in jobs]
             decision = policy.decide(views, hetero_cluster, 0.0)
@@ -107,8 +98,7 @@ class TestQualityHarness:
                 reference = decision.objective
             assert decision.objective == pytest.approx(reference, rel=1e-6)
 
-    @pytest.mark.parametrize("backend", ["milp", "lp_round", "decomposed",
-                                         "tiered", "greedy"])
+    @pytest.mark.parametrize("backend", ilp.BACKENDS)
     def test_forced_and_capacity_respected(self, backend):
         problem = random_problem(3)
         row = int(np.flatnonzero(~np.isnan(problem.utilities).all(axis=1))[0])
@@ -183,10 +173,9 @@ class TestWarmStartAndReuse:
     def test_warm_started_flag_on_rounding_tiers(self):
         problem = random_problem(2)
         ref = solve_assignment(problem, backend="milp")
-        for backend in ("lp_round", "decomposed"):
-            solution = solve_assignment(problem, backend=backend,
-                                        warm_start=dict(ref.assignment))
-            assert solution.warm_started
+        solution = solve_assignment(problem, backend="lp_round",
+                                    warm_start=dict(ref.assignment))
+        assert solution.warm_started
         milp = solve_assignment(problem, backend="milp",
                                 warm_start=dict(ref.assignment))
         assert not milp.warm_started  # scipy milp has no incumbent API
@@ -219,83 +208,6 @@ class TestWarmStartAndReuse:
                           jobs, max_hours=100)
         assert result.rounds[-1].metrics.get("solver.reuse_skips", 0) > 0
         assert result.backend_counts().get("reuse", 0) > 0
-
-
-class TestDecomposition:
-    def test_deterministic_across_calls(self):
-        problem = random_problem(4)
-        first = solve_assignment(problem, backend="decomposed")
-        second = solve_assignment(problem, backend="decomposed")
-        assert first.assignment == second.assignment
-        assert first.partitions == second.partitions > 0
-
-    def test_parallel_matches_serial(self):
-        problem = random_problem(5)
-        serial = ilp._solve_decomposed(problem, parallel=False)
-        threaded = ilp._solve_decomposed(problem, parallel=True)
-        assert serial.assignment == threaded.assignment
-
-    def test_cohort_split_engages(self, monkeypatch):
-        monkeypatch.setattr(ilp, "DECOMPOSE_MAX_PARTITION_VARS", 8)
-        problem = random_problem(6)
-        solution = solve_assignment(problem, backend="decomposed")
-        # more partitions than GPU types => job-cohort splitting happened
-        assert solution.partitions > len(problem.capacities)
-        used = solution.gpus_used(problem)
-        assert all(used[t] <= problem.capacities[t] for t in used)
-
-    def test_stitch_serves_spillover(self):
-        """A job whose home type fills up must be caught by the stitch pass
-        on its second-best type, not dropped."""
-        utilities = np.array([
-            [3.0, 1.0],   # both jobs prefer t4 ...
-            [2.5, 1.0],
-        ])
-        problem = AssignmentProblem(
-            utilities=utilities,
-            config_gpus=[1, 1],
-            config_types=["t4", "rtx"],
-            capacities={"t4": 1, "rtx": 1},  # ... but only one t4 fits
-        )
-        solution = solve_assignment(problem, backend="decomposed")
-        assert set(solution.assignment) == {0, 1}
-        assert sorted(solution.assignment.values()) == [0, 1]
-
-    def test_partition_spans_recorded(self):
-        tracer = Tracer()
-        solve_assignment(random_problem(7), backend="decomposed",
-                         tracer=tracer)
-        stats = tracer.span_stats("solve_partition")
-        assert stats.count > 0
-        assert "solve_partition" in SOLVER_SPANS
-
-
-class TestTieredSelection:
-    def test_select_backend_thresholds(self, monkeypatch):
-        monkeypatch.setattr(ilp, "TIER_LP_VARS", 4)
-        monkeypatch.setattr(ilp, "TIER_DECOMPOSE_VARS", 8)
-        small = random_problem(0, n_jobs=2, density=0.2)
-        assert small.n_feasible_pairs <= 4
-        assert select_backend(small) == "milp"
-        mid = random_problem(0, n_jobs=3, density=1.0)  # 36 pairs > 8
-        assert select_backend(mid) == "decomposed"
-        monkeypatch.setattr(ilp, "TIER_DECOMPOSE_VARS", 100)
-        assert select_backend(mid) == "lp_round"
-
-    def test_tiered_resolves_and_annotates(self, monkeypatch):
-        monkeypatch.setattr(ilp, "TIER_LP_VARS", 4)
-        problem = random_problem(0, n_jobs=6, density=1.0)
-        tracer = Tracer()
-        solution = solve_assignment(problem, backend="tiered", tracer=tracer)
-        assert solution.backend == "lp_round"
-        spans = [s for s in tracer.spans if s.name == "ilp_solve"]
-        assert spans[-1].attrs["resolved"] == "lp_round"
-
-    def test_default_tier_is_milp_at_small_scale(self):
-        problem = random_problem(0)
-        assert select_backend(problem) == "milp"
-        solution = solve_assignment(problem, backend="tiered")
-        assert solution.backend == "milp"
 
 
 class TestGreedyDeterminism:
@@ -362,8 +274,7 @@ class TestReplayFork:
 
     def test_registry_stays_in_sync(self):
         assert forklib.SOLVER_BACKENDS is ilp.BACKENDS
-        assert "lp_round" in forklib.SOLVER_BACKENDS
-        assert "tiered" in forklib.SOLVER_BACKENDS
+        assert ilp.BACKENDS == ("milp", "lp_round", "greedy")
 
     @pytest.fixture(scope="class")
     def base_result(self):
@@ -384,11 +295,17 @@ class TestReplayFork:
         assert {r.backend for r in outcome.fork.rounds[:2]} <= {"milp"}
         assert outcome.diff.overrides == {"solver_backend": "lp_round"}
 
-    def test_tiered_fork_accepted(self, base_result):
-        outcome = replay(base_result, 2,
-                         ReplayOverrides(solver_backend="tiered"))
-        # tiered resolves per round; at this scale that is the MILP tier
-        assert len(outcome.fork.rounds) >= 2
+    def test_saved_spec_with_removed_backend_fails_fast(self, base_result,
+                                                        tmp_path):
+        """A result saved when ``tiered`` still existed must not replay on a
+        silently substituted solver: rebuilding it names the valid set."""
+        path = tmp_path / "old.json"
+        io.save_result(base_result, path)
+        loaded = io.load_result(path)
+        loaded.run_spec["scheduler_options"]["solver"] = "tiered"
+        with pytest.raises(ValueError, match=r"choose from \('milp', "
+                                             r"'lp_round', 'greedy'\)"):
+            replay(loaded, 2, ReplayOverrides())
 
     def test_unknown_backend_rejected(self, base_result):
         with pytest.raises(ValueError, match="unknown solver backend"):

@@ -5,21 +5,29 @@ decisions, same end-to-end simulated schedules.
 The vectorized optimizer ranks the candidate grid with numpy and then
 re-evaluates the shortlist of maxima through the scalar path (see
 ``repro.perf.goodput``), so equality here is bitwise, not approximate.
+The scalar reference is ``GoodputModel._best_of_grid_scalar``, which
+``GoodputModel`` selects for throughput models without a
+``throughput_batch`` method; :func:`scalar_path` hides that method from
+the estimators' throughput adapter.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.cluster import presets
-from repro.core.policy import SiaPolicy, SiaPolicyParams
+from repro.core.policy import SiaPolicy
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.inference import LatencySLOEstimator
 from repro.jobs.job import make_job
+from repro.perf import estimator as est_mod
 from repro.perf import profiles
 from repro.perf.estimator import JobConstraints, JobPerfEstimator
 from repro.perf.fitting import Observation
+from repro.perf.goodput import GoodputModel
 from repro.perf.throughput import ThroughputModel
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import JobView
@@ -34,15 +42,24 @@ CONFIGS = [Configuration(n, k, t)
            for n, k in ((1, 1), (1, 2), (1, 4), (1, 8), (2, 16), (4, 32))]
 
 
+@contextmanager
+def scalar_path():
+    """Every estimator query inside the block takes the scalar reference
+    loop: the throughput adapter stops offering ``throughput_batch``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(est_mod._ThroughputAdapter, "throughput_batch")
+        yield
+
+
 def make_pair(mode, model="bert", *, fixed_total_bsz=None):
-    """A (scalar, vectorized) estimator pair fed identical evidence."""
+    """Two estimators fed identical evidence: the first is queried under
+    :func:`scalar_path`, the second on the vectorized pipeline."""
     profile = profiles.model_profile(model)
     constraints = JobConstraints(min_bsz=profile.min_bsz,
                                  max_bsz=profile.max_bsz,
                                  fixed_total_bsz=fixed_total_bsz)
-    pair = tuple(JobPerfEstimator(model, constraints, TYPES, mode,
-                                  vectorized=vec)
-                 for vec in (False, True))
+    pair = tuple(JobPerfEstimator(model, constraints, TYPES, mode)
+                 for _ in range(2))
     for est in pair:
         est.profile_initial()
     return pair
@@ -63,28 +80,41 @@ def feed(estimators, model):
 
 
 class TestEstimatorEquivalence:
+    def test_scalar_path_selects_reference_loop(self):
+        """Guards the harness: inside :func:`scalar_path` the estimator's
+        GoodputModel really runs the scalar loop, outside it does not."""
+        est, _ = make_pair(ProfilingMode.BOOTSTRAP)
+        adapter = est_mod._ThroughputAdapter(est, "t4")
+        efficiency = est.efficiency_model
+        with scalar_path():
+            assert not GoodputModel(adapter, efficiency).vectorized
+        assert GoodputModel(adapter, efficiency).vectorized
+
     @pytest.mark.parametrize("mode", list(ProfilingMode))
     @pytest.mark.parametrize("model", ["bert", "resnet50", "yolov3"])
     def test_best_plan_identical(self, mode, model):
         scalar, vectorized = make_pair(mode, model)
         feed((scalar, vectorized), model)
-        for config in CONFIGS:
-            a = scalar.best_plan(config)
+        with scalar_path():
+            expected = [scalar.best_plan(config) for config in CONFIGS]
+        for config, a in zip(CONFIGS, expected):
             b = vectorized.best_plan(config)
             assert a == b, f"{mode} {model} {config}: {a} != {b}"
 
     @pytest.mark.parametrize("mode", list(ProfilingMode))
     def test_rigid_fixed_total_identical(self, mode):
         scalar, vectorized = make_pair(mode, "bert", fixed_total_bsz=64)
-        for config in CONFIGS:
-            assert scalar.best_plan(config) == vectorized.best_plan(config)
+        with scalar_path():
+            expected = [scalar.best_plan(config) for config in CONFIGS]
+        assert expected == [vectorized.best_plan(c) for c in CONFIGS]
 
     def test_goodput_batch_matches_scalar_goodput(self):
         scalar, vectorized = make_pair(ProfilingMode.BOOTSTRAP)
         feed((scalar, vectorized), "bert")
+        with scalar_path():
+            expected = [scalar.goodput(config) for config in CONFIGS]
         values = vectorized.goodput_batch(CONFIGS)
-        for config, value in zip(CONFIGS, values):
-            assert float(value) == scalar.goodput(config)
+        assert [float(value) for value in values] == expected
 
     def test_hybrid_goodput_batch_matches_scalar(self):
         from repro.jobs.hybrid import HybridPerfEstimator
@@ -101,7 +131,7 @@ class TestEstimatorEquivalence:
 
 
 class TestPolicyEquivalence:
-    def make_views(self, cluster, vectorized: bool, n_jobs=12):
+    def make_views(self, cluster, n_jobs=12):
         trace = helios_trace(seed=11, num_jobs=n_jobs)
         views = []
         for job in trace.jobs:
@@ -110,8 +140,7 @@ class TestPolicyEquivalence:
                                          max_bsz=profile.max_bsz)
             est = JobPerfEstimator(job.model_name, constraints,
                                    cluster.gpu_types,
-                                   ProfilingMode.BOOTSTRAP,
-                                   vectorized=vectorized)
+                                   ProfilingMode.BOOTSTRAP)
             est.profile_initial()
             views.append(JobView(job=job, estimator=est,
                                  current_config=None, age=0.0,
@@ -120,34 +149,31 @@ class TestPolicyEquivalence:
 
     def test_decide_identical_assignments(self):
         cluster = presets.heterogeneous()
-        decisions = []
-        for vectorized in (False, True):
-            policy = SiaPolicy(SiaPolicyParams(vectorized=vectorized))
-            views = self.make_views(cluster, vectorized)
-            decisions.append(policy.decide(views, cluster, 0.0))
-        scalar, batched = decisions
+        with scalar_path():
+            scalar = SiaPolicy().decide(self.make_views(cluster), cluster,
+                                        0.0)
+        batched = SiaPolicy().decide(self.make_views(cluster), cluster, 0.0)
         assert scalar.assignments == batched.assignments
         assert scalar.objective == pytest.approx(batched.objective)
         assert scalar.estimates == batched.estimates
 
-    def test_simulation_round_by_round_identical(self, monkeypatch):
+    def test_simulation_round_by_round_identical(self):
         """Seeded end-to-end runs produce the same allocation log whether
-        every layer runs the scalar or the vectorized path."""
-        import repro.perf.estimator as est_mod
-
+        every estimator runs the scalar or the vectorized path."""
         cluster = presets.heterogeneous()
-        logs = []
-        for vectorized in (False, True):
-            monkeypatch.setattr(est_mod, "DEFAULT_VECTORIZED", vectorized)
+
+        def allocation_log():
             jobs = [make_job(f"j{i}", model, float(i * 120),
                              work_scale=0.05)
                     for i, model in enumerate(
                         ["bert", "resnet50", "yolov3", "deepspeech2",
                          "bert", "resnet18"])]
-            scheduler = SiaScheduler(SiaPolicyParams(vectorized=vectorized))
-            result = simulate(cluster, scheduler, jobs, seed=3)
-            logs.append([r.allocations for r in result.rounds])
-        assert logs[0] == logs[1]
+            result = simulate(cluster, SiaScheduler(), jobs, seed=3)
+            return [r.allocations for r in result.rounds]
+
+        with scalar_path():
+            scalar = allocation_log()
+        assert scalar == allocation_log()
 
 
 class TestConfigCacheSignature:
