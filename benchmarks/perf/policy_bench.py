@@ -47,6 +47,10 @@ from repro.workloads import helios_trace
 #: active jobs per 64 GPUs (paper-proportional load, as in Figure 9).
 JOBS_PER_64 = 16
 
+#: consecutive policy rounds per point; the round-latency median (the
+#: gated number) is taken over these, cold first round included.
+ROUNDS = 3
+
 #: solver columns measured at every point; ``milp`` is the gated one.
 DEFAULT_BACKENDS = ("milp", "lp_round")
 
@@ -274,8 +278,9 @@ def run_bench(quick: bool, sizes: tuple[int, ...] | None = None,
               backends: tuple[str, ...] = DEFAULT_BACKENDS) -> dict:
     if sizes is None:
         sizes = (64,) if quick else (64, 128, 256, 1024, 4096)
-    rounds = 2 if quick else 3
-    points = [measure_point(size, JOBS_PER_64 * (size // 64), rounds,
+    # Always the baseline's 3-round protocol: --quick narrows the sizes
+    # only, so its median stays comparable with baseline.json.
+    points = [measure_point(size, JOBS_PER_64 * (size // 64), ROUNDS,
                             backends=backends)
               for size in sizes]
     return {"benchmark": "policy_round", "jobs_per_64_gpus": JOBS_PER_64,
@@ -303,7 +308,8 @@ def check_baseline(report: dict, baseline_path: Path,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="smallest instance only (CI)")
+                        help="smallest instance only (CI); same rounds "
+                             "per point as the baseline")
     parser.add_argument("--sizes", type=str, default=None,
                         help="comma-separated GPU counts to measure "
                              "(overrides --quick's size selection)")

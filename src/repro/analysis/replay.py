@@ -39,6 +39,7 @@ from repro.metrics.jct import percentile
 from repro.obs.diff import (MetricDelta, RunDiff, aligned_ledger_deltas,
                             compare_runs, fault_recovery_seconds)
 from repro.obs.ledger import GoodputLedger, queue_wait_by_job
+from repro.obs.tracer import Tracer
 from repro.sim import checkpoint as ckpt
 from repro.sim.chaos import diff_results
 from repro.sim.checkpoint import CheckpointState
@@ -141,12 +142,18 @@ def build_run_spec(*, scheduler: str, cluster: str, jobs: list,
 
 def simulator_from_spec(spec: dict[str, Any], *,
                         cluster: Cluster | None = None,
-                        health: bool | None = None) -> Simulator:
-    """Rebuild the recorded run's simulator from its ``run_spec``.
+                        health: bool | None = None,
+                        tracer: Tracer | None = None,
+                        checkpoint: ckpt.CheckpointConfig | None = None,
+                        ) -> Simulator:
+    """Build the simulator a ``run_spec`` describes (the CLI builds every
+    run this way; replay rebuilds recorded runs the same way).
 
     ``cluster`` substitutes a (delta-edited) cluster for the recorded
     preset; ``health`` forces the gray-failure defense on/off regardless of
-    what the base run used (None keeps the recorded posture).
+    what the base run used (None keeps the recorded posture).  ``tracer``
+    and ``checkpoint`` are deployment settings, not part of the recipe;
+    they pass straight through to :class:`SimulatorConfig`.
     """
     if not spec:
         raise ValueError(
@@ -168,7 +175,8 @@ def simulator_from_spec(spec: dict[str, Any], *,
             spec.get("fault_options") or None),
         resilient=spec.get("resilient", False),
         invariants=spec.get("invariants", "off"),
-        health=HealthConfig() if health_on else None)
+        health=HealthConfig() if health_on else None,
+        tracer=tracer, checkpoint=checkpoint)
     return Simulator(cluster, scheduler, jobs, config)
 
 

@@ -33,10 +33,10 @@ from typing import Sequence
 
 from repro import io
 from repro.analysis.render import format_table
+from repro.analysis.replay import build_run_spec, simulator_from_spec
 from repro.cluster import presets
 from repro.cluster.gpu import GPU_CATALOG
 from repro.core import fork as forklib
-from repro.core.health import HealthConfig
 from repro.core.types import ProfilingMode
 from repro.metrics.jct import summarize
 from repro.obs.export import run_digest, write_chrome_trace
@@ -48,48 +48,13 @@ from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
 from repro.obs.tracer import Tracer
 from repro.perf.profiles import MODEL_ZOO
 from repro.schedulers import GavelScheduler
-from repro.schedulers.base import Scheduler
 from repro.sim.chaos import run_chaos
 from repro.sim.checkpoint import CheckpointConfig
-from repro.sim.engine import Simulator, SimulatorConfig
-from repro.sim.faults import FaultModel
+from repro.sim.engine import Simulator
 from repro.sim.invariants import MODES as INVARIANT_MODES
 from repro.workloads.generators import SPECS, trace_by_name
 from repro.workloads.trace import Trace
 from repro.workloads.tuning import tuned_jobs
-
-#: schedulers that auto-tune jobs (run the raw adaptive trace).
-ADAPTIVE_SCHEDULERS = ("sia", "pollux")
-#: schedulers that need TunedJobs (fixed batch size and GPU count).
-RIGID_SCHEDULERS = ("gavel", "shockwave", "themis", "fifo", "srtf")
-
-
-def build_scheduler(name: str, args: argparse.Namespace) -> Scheduler:
-    """CLI front-end of :func:`repro.core.fork.make_scheduler` (the shared
-    factory the replay engine also uses)."""
-    try:
-        return forklib.make_scheduler(
-            name,
-            round_duration=args.round_duration,
-            p=args.p, lam=args.lam, solver=args.solver,
-            gavel_policy=args.gavel_policy,
-            resilient=getattr(args, "resilient", False),
-            solve_budget=getattr(args, "solve_budget", 5.0))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
-def _fault_options(args: argparse.Namespace) -> dict[str, float]:
-    """The fault knobs as a plain dict (the replay run-spec vocabulary)."""
-    return {key: getattr(args, key, default)
-            for key, default in forklib.FAULT_OPTION_DEFAULTS.items()}
-
-
-def build_fault_models(args: argparse.Namespace) -> list[FaultModel]:
-    """Fault injectors requested on the command line (node crashes keep
-    riding the legacy --failure-rate path inside the simulator)."""
-    return forklib.make_fault_models(_fault_options(args))
-
 
 def resolve_trace(args: argparse.Namespace) -> Trace:
     if args.trace:
@@ -104,16 +69,13 @@ def resolve_trace(args: argparse.Namespace) -> Trace:
 
 
 def _wants_tracing(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "trace_out", None)
-                or getattr(args, "events_out", None)
-                or getattr(args, "metrics_digest", False))
+    return bool(args.trace_out or args.events_out or args.metrics_digest)
 
 
 def _checkpoint_config(args: argparse.Namespace) -> CheckpointConfig | None:
-    directory = getattr(args, "checkpoint_dir", None)
-    if not directory:
+    if not args.checkpoint_dir:
         return None
-    return CheckpointConfig(directory=directory,
+    return CheckpointConfig(directory=args.checkpoint_dir,
                             every_rounds=args.checkpoint_every,
                             keep=args.checkpoint_keep)
 
@@ -123,9 +85,9 @@ def _build_slo_engine(args: argparse.Namespace,
     """The SLO engine this run should evaluate, or None.  Enabled by
     ``--slo`` (a ruleset path or 'default'), and implicitly — with the
     default ruleset — by ``--alerts-out`` and ``repro watch``."""
-    source = getattr(args, "slo", None)
+    source = args.slo
     if source is None and not (getattr(args, "watch", False)
-                               or getattr(args, "alerts_out", None)):
+                               or args.alerts_out):
         return None
     try:
         rules = parse_rules(source)
@@ -146,21 +108,21 @@ def _attach_observers(args: argparse.Namespace, simulator: Simulator,
     slo_engine = _build_slo_engine(args, simulator)
     if slo_engine is not None:
         observers.append(SLOObserver(slo_engine))
-    if getattr(args, "alerts_out", None):
+    if args.alerts_out:
         observers.append(AlertStreamObserver(
             _suffixed(args.alerts_out, suffix), simulator.scheduler.name))
-    if tracer is not None and getattr(args, "events_out", None):
+    if tracer is not None and args.events_out:
         observers.append(EventStreamObserver(
             tracer, _suffixed(args.events_out, suffix),
             metrics=simulator.metrics))
-    if getattr(args, "ledger_out", None):
+    if args.ledger_out:
         observers.append(LedgerStreamObserver(
             _suffixed(args.ledger_out, suffix), simulator.scheduler.name))
-    if getattr(args, "prom_out", None):
+    if args.prom_out:
         observers.append(PrometheusSnapshotObserver(
             simulator.metrics, _suffixed(args.prom_out, suffix)))
     server = None
-    if getattr(args, "serve", None) is not None:
+    if args.serve is not None:
         server = MetricsHTTPServer(simulator.metrics, slo=slo_engine,
                                    port=args.serve)
         port = server.start()
@@ -172,50 +134,56 @@ def _attach_observers(args: argparse.Namespace, simulator: Simulator,
     return slo_engine, server
 
 
+def _run_spec(scheduler_name: str, args: argparse.Namespace,
+              trace: Trace) -> dict:
+    """The construction recipe of one CLI run.  Every CLI simulator is
+    built from it and it is saved as the result's ``run_spec``, so the
+    recorded recipe is the executed one.  Rigid schedulers run TunedJobs,
+    recorded post-tuning so replay does not re-tune."""
+    jobs = trace.jobs
+    if scheduler_name in forklib.RIGID_SCHEDULERS:
+        jobs = tuned_jobs(jobs, presets.by_name(args.cluster),
+                          seed=trace.seed)
+    return build_run_spec(
+        scheduler=scheduler_name, cluster=args.cluster, jobs=jobs,
+        seed=args.seed, profiling_mode=args.profiling_mode,
+        max_hours=args.max_hours, node_failure_rate=args.failure_rate,
+        resilient=args.resilient, invariants=args.invariants,
+        health=args.health,
+        scheduler_options={
+            "round_duration": args.round_duration, "p": args.p,
+            "lam": args.lam, "solver": args.solver,
+            "gavel_policy": args.gavel_policy,
+            "solve_budget": args.solve_budget,
+        },
+        fault_options={
+            key: getattr(args, key)
+            for key, default in forklib.FAULT_OPTION_DEFAULTS.items()
+            if getattr(args, key) != default})
+
+
+def _build_simulator(spec: dict, **deployment) -> Simulator:
+    """:func:`simulator_from_spec`, exiting cleanly on an unknown
+    scheduler name (``make_scheduler``'s message)."""
+    try:
+        return simulator_from_spec(spec, **deployment)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
               suffix: str = ""):
-    cluster = presets.by_name(args.cluster)
-    scheduler = build_scheduler(scheduler_name, args)
-    jobs = trace.jobs
-    if scheduler_name in RIGID_SCHEDULERS:
-        jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
+    spec = _run_spec(scheduler_name, args, trace)
     tracer = Tracer() if _wants_tracing(args) else None
-    config = SimulatorConfig(
-        profiling_mode=ProfilingMode(args.profiling_mode),
-        seed=args.seed, max_hours=args.max_hours,
-        node_failure_rate=args.failure_rate,
-        fault_models=build_fault_models(args),
-        resilient=getattr(args, "resilient", False),
-        tracer=tracer,
-        checkpoint=_checkpoint_config(args),
-        invariants=getattr(args, "invariants", "off"),
-        health=HealthConfig() if getattr(args, "health", False) else None)
-    simulator = Simulator(cluster, scheduler, jobs, config)
+    simulator = _build_simulator(spec, tracer=tracer,
+                                 checkpoint=_checkpoint_config(args))
     _, server = _attach_observers(args, simulator, tracer, suffix)
     try:
         result = simulator.run(resume_from=getattr(args, "resume_from", None))
     finally:
         if server is not None:
             server.close()
-    # Record the construction recipe so a saved result can be forked by
-    # `repro replay` (jobs are recorded post-tuning, so rigid-scheduler
-    # runs replay without re-tuning).
-    from repro.analysis.replay import build_run_spec
-    result.run_spec = build_run_spec(
-        scheduler=scheduler_name, cluster=args.cluster, jobs=jobs,
-        seed=args.seed, profiling_mode=args.profiling_mode,
-        max_hours=args.max_hours, node_failure_rate=args.failure_rate,
-        resilient=getattr(args, "resilient", False),
-        invariants=getattr(args, "invariants", "off"),
-        health=getattr(args, "health", False),
-        scheduler_options={
-            "round_duration": args.round_duration, "p": args.p,
-            "lam": args.lam, "solver": args.solver,
-            "gavel_policy": args.gavel_policy,
-            "solve_budget": getattr(args, "solve_budget", 5.0),
-        },
-        fault_options={k: v for k, v in _fault_options(args).items()
-                       if v != forklib.FAULT_OPTION_DEFAULTS[k]})
+    result.run_spec = spec  # what `repro replay` forks from
     violations = simulator.invariant_violations
     if violations:
         print(f"invariant violations: {len(violations)} "
@@ -224,19 +192,19 @@ def _simulate(scheduler_name: str, args: argparse.Namespace, trace: Trace,
     # --events-out / --ledger-out / --alerts-out streamed during the run
     # (flushed per round, finalized atomically at the end); report where
     # the finalized files landed.
-    if tracer is not None and getattr(args, "events_out", None):
+    if tracer is not None and args.events_out:
         print(f"wrote event log to {_suffixed(args.events_out, suffix)} "
               "(streamed per round)")
-    if getattr(args, "ledger_out", None):
+    if args.ledger_out:
         print(f"wrote goodput ledger to "
               f"{_suffixed(args.ledger_out, suffix)} (streamed per round)")
-    if getattr(args, "alerts_out", None):
+    if args.alerts_out:
         print(f"wrote SLO alerts to {_suffixed(args.alerts_out, suffix)} "
               "(streamed per round)")
-    if getattr(args, "prom_out", None):
+    if args.prom_out:
         print(f"wrote Prometheus snapshot to "
               f"{_suffixed(args.prom_out, suffix)}")
-    if getattr(args, "health_events_out", None):
+    if args.health_events_out:
         path = _suffixed(args.health_events_out, suffix)
         io.save_health_events(result, path)
         print(f"wrote health events to {path}")
@@ -258,14 +226,14 @@ def _export_observability(result, tracer: Tracer | None,
     if tracer is None:
         return
     events = list(tracer.events)
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         path = _suffixed(args.trace_out, suffix)
         write_chrome_trace(tracer.spans, path, events)
         print(f"wrote Chrome trace to {path} "
               "(open at https://ui.perfetto.dev)")
     # --events-out streams during the run (EventStreamObserver); only the
     # Chrome trace and digest are post-run renderings.
-    if getattr(args, "metrics_digest", False):
+    if args.metrics_digest:
         print(run_digest(result))
 
 
@@ -455,35 +423,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Kill/resume equivalence experiment (see :mod:`repro.sim.chaos`)."""
     import tempfile
 
-    if getattr(args, "scenario", "kill") == "gray":
+    if args.scenario == "gray":
         _apply_gray_scenario_defaults(args)
     trace = resolve_trace(args)
-    cluster = presets.by_name(args.cluster)
-    jobs = trace.jobs
-    if args.scheduler in RIGID_SCHEDULERS:
-        jobs = tuned_jobs(jobs, cluster, seed=trace.seed)
-
-    def factory(ckpt_cfg):
-        # A fresh scheduler per run: the three runs (reference, victim,
-        # survivor) must not share solver/estimator state.
-        scheduler = build_scheduler(args.scheduler, args)
-        config = SimulatorConfig(
-            profiling_mode=ProfilingMode(args.profiling_mode),
-            seed=args.seed, max_hours=args.max_hours,
-            node_failure_rate=args.failure_rate,
-            fault_models=build_fault_models(args),
-            resilient=getattr(args, "resilient", False),
-            checkpoint=ckpt_cfg,
-            invariants=args.invariants,
-            health=HealthConfig() if getattr(args, "health", False) else None)
-        return Simulator(cluster, scheduler, jobs, config)
-
+    spec = _run_spec(args.scheduler, args, trace)
     directory = args.checkpoint_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     print(f"chaos: scenario={args.scenario} scheduler={args.scheduler} "
           f"trace={trace.name} kill_stage={args.kill_stage} "
           f"checkpoints={directory}",
           file=sys.stderr)
-    report = run_chaos(factory, directory=directory,
+    # A fresh simulator per run: the three runs (reference, victim,
+    # survivor) must not share solver/estimator state.
+    report = run_chaos(lambda ckpt: _build_simulator(spec, checkpoint=ckpt),
+                       directory=directory,
                        kill_round=args.kill_round,
                        kill_stage=args.kill_stage,
                        chaos_seed=args.chaos_seed,

@@ -255,30 +255,10 @@ def load_result(path: str | Path) -> SimulationResult:
 
 # -- goodput ledger (JSONL) ---------------------------------------------------
 
-def save_ledger(result: SimulationResult, path: str | Path) -> None:
-    """Export the run's goodput ledger and audit trail as JSONL: a header
-    line, one ``ledger_entry`` line per (round, job) allocation, and one
-    ``alloc_event`` line per classified allocation change.  This is the
-    CLI's ``--ledger-out`` format; :func:`load_ledger` round-trips it."""
-    ledger = GoodputLedger.from_result(result)
-    lines = [json.dumps({
-        "kind": "ledger", "format_version": FORMAT_VERSION,
-        "scheduler_name": result.scheduler_name,
-        "num_rounds": len(result.rounds),
-    })]
-    for entry in ledger.entries:
-        lines.append(json.dumps({"kind": "ledger_entry", **entry.to_dict()}))
-    for event in result.allocation_events():
-        # The event's own dict carries a "kind" (the event kind), so it is
-        # nested rather than spread into the line.
-        lines.append(json.dumps({"kind": "alloc_event",
-                                 "event": event.to_dict()}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def load_ledger(path: str | Path,
                 ) -> tuple[GoodputLedger, list[AllocationEvent]]:
-    """Read a ``--ledger-out`` JSONL file back into a
+    """Read a ``--ledger-out`` JSONL file (written by
+    :class:`repro.obs.stream.LedgerStreamObserver`) back into a
     :class:`~repro.obs.ledger.GoodputLedger` plus its allocation events."""
     entries: list[LedgerEntry] = []
     events: list[AllocationEvent] = []
@@ -296,9 +276,8 @@ def load_ledger(path: str | Path,
         elif kind == "alloc_event":
             events.append(AllocationEvent.from_dict(item["event"]))
         elif kind == "ledger_end":
-            # Completeness trailer appended by the live streamer
-            # (:class:`repro.obs.stream.LedgerStreamObserver`); its absence
-            # on a ``.part`` file marks a truncated crash prefix.
+            # Completeness trailer written on finalize; its absence on a
+            # ``.part`` file marks a truncated crash prefix.
             pass
         else:
             raise ValueError(f"unknown ledger line kind {kind!r}")
@@ -309,23 +288,9 @@ def load_ledger(path: str | Path,
 
 # -- SLO alerts (JSONL) --------------------------------------------------------
 
-def save_alerts(result: SimulationResult, path: str | Path) -> None:
-    """Export every fired SLO alert as JSONL: a header line plus one
-    ``alert`` line per alert, in round order.  This matches the live
-    stream written by :class:`repro.obs.stream.AlertStreamObserver`
-    (which adds an ``alerts_end`` trailer); :func:`load_alerts` reads
-    both."""
-    lines = [json.dumps({
-        "kind": "alerts", "format_version": FORMAT_VERSION,
-        "scheduler_name": result.scheduler_name,
-    })]
-    for _, alert in result.alerts_timeline():
-        lines.append(json.dumps({"kind": "alert", **alert.to_dict()}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def load_alerts(path: str | Path) -> list[Alert]:
-    """Read an alerts JSONL file (``--alerts-out``) back into
+    """Read an alerts JSONL file (``--alerts-out``, written by
+    :class:`repro.obs.stream.AlertStreamObserver`) back into
     :class:`~repro.obs.slo.Alert` objects, in file order."""
     alerts: list[Alert] = []
     header_seen = False
@@ -340,7 +305,7 @@ def load_alerts(path: str | Path) -> list[Alert]:
         elif kind == "alert":
             alerts.append(Alert.from_dict(item))
         elif kind == "alerts_end":
-            pass  # streamer's completeness trailer
+            pass  # completeness trailer written on finalize
         else:
             raise ValueError(f"unknown alerts line kind {kind!r}")
     if not header_seen:

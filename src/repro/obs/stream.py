@@ -221,11 +221,11 @@ class EventStreamObserver(RoundObserver):
 class LedgerStreamObserver(RoundObserver):
     """Streams the goodput ledger + audit trail (``--ledger-out``) live.
 
-    Writes the same header/entry/event lines as
-    :func:`repro.io.save_ledger`, interleaved round by round instead of
-    grouped, and a ``ledger_end`` trailer on finalize;
-    :func:`repro.io.load_ledger` reads both layouts back identically
-    (it splits lines by kind, and the per-kind relative order matches).
+    The one writer of the ledger JSONL format: a header line, then each
+    round's ``ledger_entry`` and ``alloc_event`` lines, then a
+    ``ledger_end`` trailer on finalize.  :func:`repro.io.load_ledger`
+    reads it back (it splits lines by kind, so a ``.part`` prefix of a
+    crashed run reads back too).
     """
 
     def __init__(self, path: str | Path, scheduler_name: str):

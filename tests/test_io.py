@@ -10,10 +10,18 @@ from repro.core.types import AdaptivityMode
 from repro.jobs.hybrid import HybridSpec
 from repro.jobs.job import make_job
 from repro.metrics import summarize
+from repro.obs.stream import AlertStreamObserver, LedgerStreamObserver
 from repro.schedulers import SiaScheduler
 from repro.sim import simulate
 from repro.workloads import philly_trace
 from repro.workloads.trace import Trace
+
+
+def _stream(observer, result):
+    """Write a finished result through a stream observer the way a live
+    run does: every recorded round, then the finalize trailer."""
+    observer.on_round(result, len(result.rounds) - 1, 0.0)
+    observer.on_finalize(result)
 
 
 class TestTraceRoundtrip:
@@ -131,10 +139,12 @@ class TestAlertsRoundtrip:
 
     def test_save_load_alerts_jsonl(self, alerted, tmp_path):
         path = tmp_path / "alerts.jsonl"
-        io.save_alerts(alerted, path)
+        _stream(AlertStreamObserver(path, alerted.scheduler_name), alerted)
         alerts = io.load_alerts(path)
         assert alerts == [a for _, a in alerted.alerts_timeline()]
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert json.loads(path.read_text().splitlines()[-1]) == {
+            "kind": "alerts_end", "num_alerts": len(alerts)}
+        assert list(tmp_path.glob("*.part")) == []
 
     def test_load_alerts_requires_header(self, tmp_path):
         path = tmp_path / "alerts.jsonl"
@@ -148,7 +158,7 @@ class TestAlertsRoundtrip:
 
     def test_load_alerts_rejects_unknown_kind(self, alerted, tmp_path):
         path = tmp_path / "alerts.jsonl"
-        io.save_alerts(alerted, path)
+        _stream(AlertStreamObserver(path, alerted.scheduler_name), alerted)
         with path.open("a") as fh:
             fh.write(json.dumps({"kind": "mystery"}) + "\n")
         with pytest.raises(ValueError, match="mystery"):
@@ -157,20 +167,24 @@ class TestAlertsRoundtrip:
 
 class TestLedgerTrailerAcceptance:
     def test_load_ledger_accepts_streamed_trailer(self, tmp_path):
-        """save_ledger output plus a streamed ``ledger_end`` trailer (what
-        LedgerStreamObserver appends) must load identically."""
+        """A finalized stream (with its ``ledger_end`` trailer) and the
+        ``.part`` prefix a crashed run leaves (no trailer) load the same."""
         cluster = presets.heterogeneous()
         jobs = [make_job("j0", "resnet18", 0.0, work_scale=0.05)]
         result = simulate(cluster, SiaScheduler(), jobs)
         path = tmp_path / "ledger.jsonl"
-        io.save_ledger(result, path)
+        _stream(LedgerStreamObserver(path, result.scheduler_name), result)
         ledger, events = io.load_ledger(path)
-        with path.open("a") as fh:
-            fh.write(json.dumps({"kind": "ledger_end",
-                                 "num_rounds": len(result.rounds)}) + "\n")
-        again, again_events = io.load_ledger(path)
+        assert json.loads(path.read_text().splitlines()[-1]) == {
+            "kind": "ledger_end", "num_rounds": len(result.rounds)}
+        crashed = LedgerStreamObserver(tmp_path / "crashed.jsonl",
+                                       result.scheduler_name)
+        crashed.on_round(result, len(result.rounds) - 1, 0.0)
+        crashed.close()
+        again, again_events = io.load_ledger(crashed.writer.part_path)
         assert again.entries == ledger.entries
         assert again_events == events
+        assert ledger.entries and events
 
 
 class TestAtomicWriters:
@@ -196,11 +210,11 @@ class TestAtomicWriters:
         assert path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_save_ledger_leaves_no_tmp(self, result, tmp_path):
+    def test_ledger_stream_leaves_no_part(self, result, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        io.save_ledger(result, path)
+        _stream(LedgerStreamObserver(path, result.scheduler_name), result)
         assert path.exists()
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(tmp_path.glob("*.part")) == []
 
     def test_interrupted_write_preserves_previous_file(self, result,
                                                        tmp_path,

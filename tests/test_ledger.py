@@ -15,6 +15,7 @@ from repro.obs import audit
 from repro.obs.audit import (AllocationEvent, AuditTrail, classify_change,
                              event_counts, migration_flows)
 from repro.obs.ledger import GoodputLedger, LedgerEntry, queue_wait_by_job
+from repro.obs.stream import LedgerStreamObserver
 from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
                               SiaScheduler)
 from repro.sim.engine import simulate
@@ -278,7 +279,9 @@ class TestLedgerIO:
 
     def test_ledger_jsonl_round_trip(self, sia_result, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        io.save_ledger(sia_result, path)
+        stream = LedgerStreamObserver(path, sia_result.scheduler_name)
+        stream.on_round(sia_result, len(sia_result.rounds) - 1, 0.0)
+        stream.on_finalize(sia_result)
         ledger, events = io.load_ledger(path)
         original = GoodputLedger.from_result(sia_result)
         assert len(ledger) == len(original)

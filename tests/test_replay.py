@@ -305,11 +305,19 @@ class TestExplainCounterfactual:
 
 
 class TestCLI:
-    def test_replay_end_to_end(self, tmp_path):
+    @pytest.mark.parametrize("run_flags,fork_scheduler", [
+        (["--scheduler", "sia"], "gavel"),
+        # A rigid scheduler (tuned jobs in the spec) with fault options,
+        # resilience, health and strict invariants.
+        (["--scheduler", "gavel", "--straggler-rate", "0.5",
+          "--job-crash-rate", "0.2", "--resilient", "--health",
+          "--invariants", "strict"], "resilient-gavel"),
+    ], ids=["sia", "gavel-faults"])
+    def test_replay_end_to_end(self, tmp_path, run_flags, fork_scheduler):
         from repro.cli import main
         run = tmp_path / "run.json"
         diff_path = tmp_path / "diff.json"
-        assert main(["run", "--scheduler", "sia", "--trace-name", "philly",
+        assert main(["run", *run_flags, "--trace-name", "philly",
                      "--num-jobs", "5", "--work-scale", "0.05",
                      "--seed", "3", "--round-duration", "60",
                      "--out", str(run)]) == 0
@@ -318,7 +326,7 @@ class TestCLI:
                      "--policy", "gavel",
                      "--diff-out", str(diff_path)]) == 0
         diff = io.load_run_diff(diff_path)
-        assert diff.fork_scheduler == "gavel"
+        assert diff.fork_scheduler == fork_scheduler
         job_id = io.load_result(run).jobs[0].job_id
         assert main(["explain", str(run), "--job", job_id,
                      "--counterfactual", str(diff_path)]) == 0
