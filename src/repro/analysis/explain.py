@@ -154,10 +154,9 @@ def _counterfactual_lines(diff: RunDiff, job_id: str) -> list[str]:
         lines.append("  the fork reproduced this run exactly — the two "
                      "futures do not differ")
         return lines
-    if diff.divergence is not None:
-        d = diff.divergence
-        lines.append(f"  futures diverged at round {d.round_index} "
-                     f"(t={_hms(d.time)}): {d.reason}")
+    d = diff.divergence
+    lines.append(f"  futures diverged at round {d.round_index} "
+                 f"(t={_hms(d.time)}): {d.reason}")
     vals = diff.job_deltas.get(job_id)
     if vals:
         base_jct, fork_jct = vals.get("base_jct"), vals.get("fork_jct")

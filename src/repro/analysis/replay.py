@@ -9,14 +9,14 @@ cluster size, or health posture?*  It composes three existing subsystems:
   a :class:`CheckpointState` — either recomputed deterministically from the
   run's recorded spec via :meth:`Simulator.run_to_round`, or restored from
   an on-disk checkpoint directory and advanced to the fork round;
-* the resume-equivalence oracle (:func:`repro.sim.chaos.diff_results`):
-  a fork with *zero* overrides must reproduce the base run bit-identically
-  (wall-clock telemetry excepted) — any mismatch means the replay itself is
-  broken, not the counterfactual;
-* the decision ledger and audit taxonomy (:mod:`repro.obs`): the two
-  futures are aligned round by round into a :class:`repro.obs.diff.RunDiff`
-  with classified allocation deltas, the divergence point, and
-  goodput/JCT/queue-wait/fault-recovery metric deltas.
+* the run diff (:func:`repro.obs.diff.diff_runs`): one aligned walk
+  over the two futures yields a :class:`repro.obs.diff.RunDiff` with the
+  field-level mismatches, classified allocation deltas and the divergence
+  point; replay adds goodput/JCT/queue-wait/fault-recovery metric deltas
+  from the decision ledger and audit taxonomy (:mod:`repro.obs`).  A fork
+  with *zero* overrides must come out ``identical`` — the same check the
+  chaos harness applies to crash/resume — and any mismatch then means the
+  replay itself is broken, not the counterfactual.
 
 Replay needs the run's construction recipe, so results saved by this build
 carry a ``run_spec`` (see :func:`build_run_spec`); results saved before
@@ -25,7 +25,7 @@ that cannot be forked and say so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,17 +37,16 @@ from repro.core.health import HealthConfig
 from repro.core.types import ProfilingMode
 from repro.metrics.jct import percentile
 from repro.obs.diff import (MetricDelta, RunDiff, aligned_ledger_deltas,
-                            compare_runs, fault_recovery_seconds)
+                            diff_runs, fault_recovery_seconds)
 from repro.obs.ledger import GoodputLedger, queue_wait_by_job
 from repro.obs.tracer import Tracer
 from repro.sim import checkpoint as ckpt
-from repro.sim.chaos import diff_results
 from repro.sim.checkpoint import CheckpointState
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.telemetry import SimulationResult
 
-#: how many strict-oracle mismatch lines a RunDiff keeps (they are
-#: diagnostics for broken identity, not the decision diff itself).
+#: how many mismatch lines a replay's RunDiff keeps (they are diagnostics
+#: for broken identity, not the decision diff itself).
 MAX_MISMATCHES = 200
 
 
@@ -367,7 +366,7 @@ def replay(base: SimulationResult, at_round: int,
     ``base`` must carry a ``run_spec`` (results saved by this build do), or
     one must be passed explicitly.  With zero overrides the fork replays
     the base run exactly and ``outcome.diff.identical`` is True — that is
-    the correctness oracle, checked through the same strict comparator the
+    the correctness oracle, checked by the same :func:`diff_runs` walk the
     checkpoint-resume tests use.
     """
     overrides = overrides or ReplayOverrides()
@@ -388,19 +387,9 @@ def replay(base: SimulationResult, at_round: int,
     simulator = simulator_from_spec(spec, cluster=cluster, health=health)
     fork_result = simulator.run(resume_from=state)
 
-    mismatches = diff_results(base, fork_result)
-    round_deltas, divergence = compare_runs(base, fork_result)
-    metrics, job_deltas = _metric_deltas(base, fork_result)
-    diff = RunDiff(
-        fork_round=at_round,
-        overrides=overrides.as_dict(),
-        base_scheduler=base.scheduler_name,
-        fork_scheduler=fork_result.scheduler_name,
-        base_rounds=len(base.rounds),
-        fork_rounds=len(fork_result.rounds),
-        mismatches=mismatches[:MAX_MISMATCHES],
-        divergence=divergence,
-        round_deltas=round_deltas,
-        metrics=metrics,
-        job_deltas=job_deltas)
+    diff = diff_runs(base, fork_result)
+    diff.fork_round = at_round
+    diff.overrides = overrides.as_dict()
+    del diff.mismatches[MAX_MISMATCHES:]
+    diff.metrics, diff.job_deltas = _metric_deltas(base, fork_result)
     return ReplayOutcome(diff=diff, base=base, fork=fork_result)

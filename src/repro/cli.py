@@ -328,9 +328,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.analysis.explain import explain_job
     result = io.load_result(args.result)
     if not result.rounds:
-        raise SystemExit(f"{args.result} has no per-round records "
-                         "(saved with include_rounds=False?); re-run and "
-                         "save with rounds to explain decisions")
+        raise SystemExit(f"{args.result} has no per-round records; re-run "
+                         "`repro run --out` to explain decisions")
     counterfactual = None
     if args.counterfactual:
         counterfactual = io.load_run_diff(args.counterfactual)
@@ -345,12 +344,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     """Counterfactual replay: fork a recorded run, diff the two futures."""
     from repro.analysis.replay import ReplayOverrides, replay
-    from repro.obs.export import write_run_diff_jsonl
 
     base = io.load_result(args.result)
     if not base.rounds:
         raise SystemExit(f"{args.result} has no per-round records; re-run "
-                         "and save with rounds to replay")
+                         "`repro run --out` to replay")
     try:
         overrides = ReplayOverrides(
             policy=args.policy, solver_backend=args.solver_backend,
@@ -367,7 +365,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
           f"-> {diff.fork_scheduler} (overrides: {over})")
     if diff.identical:
         print("futures are bit-identical (modulo wall-clock telemetry)")
-    elif diff.divergence is not None:
+    else:
         d = diff.divergence
         print(f"diverged at round {d.round_index} (t={d.time:.0f}s): "
               f"{d.reason}")
@@ -378,9 +376,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.diff_out:
         io.save_run_diff(diff, args.diff_out)
         print(f"wrote run diff to {args.diff_out}")
-    if args.diff_jsonl:
-        write_run_diff_jsonl(diff, args.diff_jsonl)
-        print(f"wrote run-diff JSONL to {args.diff_jsonl}")
     if args.fork_out:
         io.save_result(outcome.fork, args.fork_out)
         print(f"saved forked result to {args.fork_out}")
@@ -698,8 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the RunDiff JSON here (consumed by "
                              "`explain --counterfactual` and "
                              "`report --diff`)")
-    replay.add_argument("--diff-jsonl", metavar="PATH",
-                        help="write the jq-friendly JSONL rendering here")
     replay.add_argument("--fork-out", metavar="PATH",
                         help="save the forked future as a result JSON")
     replay.set_defaults(func=cmd_replay)

@@ -170,8 +170,7 @@ def _round_to_dict(record: RoundRecord) -> dict[str, Any]:
     return data
 
 
-def save_result(result: SimulationResult, path: str | Path, *,
-                include_rounds: bool = True) -> None:
+def save_result(result: SimulationResult, path: str | Path) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "result",
@@ -181,20 +180,10 @@ def save_result(result: SimulationResult, path: str | Path, *,
         "censored": result.censored,
         "node_failures": result.node_failures,
         "jobs": [_record_to_dict(record) for record in result.jobs],
-        "rounds": [_round_to_dict(record) for record in result.rounds]
-        if include_rounds else [],
-        # Summaries survive even when per-round records are dropped.
-        "fault_counts": result.fault_counts(),
-        "backend_counts": result.backend_counts(),
+        "rounds": [_round_to_dict(record) for record in result.rounds],
     }
-    alert_counts = result.alert_counts()
-    if alert_counts:
-        payload["alert_counts"] = alert_counts
     if result.final_metrics:
         payload["final_metrics"] = dict(result.final_metrics)
-    counts = result.resilience_counts()
-    if counts:
-        payload["resilience_counts"] = counts
     if result.run_spec:
         payload["run_spec"] = result.run_spec
     atomic_write_text(path, json.dumps(payload, indent=2))
@@ -210,9 +199,6 @@ def load_result(path: str | Path) -> SimulationResult:
         censored=payload.get("censored", 0),
         node_failures=payload.get("node_failures", 0),
         final_metrics=dict(payload.get("final_metrics", {})),
-        saved_fault_counts=payload.get("fault_counts"),
-        saved_backend_counts=payload.get("backend_counts"),
-        saved_alert_counts=payload.get("alert_counts"),
         run_spec=payload.get("run_spec"),
     )
     for item in payload["jobs"]:

@@ -4,15 +4,16 @@
   events) and the near-zero-cost :data:`NULL_TRACER` default.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges,
   and histograms, snapshotted per round by the simulator.
-* :mod:`repro.obs.export`  — Chrome/Perfetto ``trace_event`` JSON, JSONL
-  event logs, and human-readable digests.
+* :mod:`repro.obs.export`  — Chrome/Perfetto ``trace_event`` JSON, the
+  JSONL event-log reader, and human-readable digests.
 * :mod:`repro.obs.ledger`  — per-job goodput ledger: estimated vs realized
   goodput per round, estimation-error series, queue-wait attribution.
 * :mod:`repro.obs.audit`   — decision audit trail: classified
   allocation-change events (admit/scale/migrate/preempt/resume/finish).
-* :mod:`repro.obs.diff`    — cross-run decision diff: align two futures of
-  one run (:class:`RunDiff`, divergence detection, ledger alignment) for
-  the counterfactual replay engine.
+* :mod:`repro.obs.diff`    — run diff: one aligned walk over two runs
+  (:func:`diff_runs` -> :class:`RunDiff`: mismatches, allocation deltas,
+  divergence point) for the chaos harness and the counterfactual replay
+  engine, plus ledger alignment.
 * :mod:`repro.obs.window`  — O(1)-per-round online aggregates: rolling
   percentile windows, EMAs, and rates over per-round series.
 * :mod:`repro.obs.slo`     — declarative SLO rules evaluated live each
@@ -32,11 +33,10 @@ from repro.obs.audit import (AllocationEvent, AuditTrail, classify_change,
                              event_counts, events_for_job, migration_flows)
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
                             RoundDelta, RunDiff, aligned_ledger_deltas,
-                            compare_runs, fault_recovery_seconds)
+                            diff_runs, fault_recovery_seconds)
 from repro.obs.export import (alert_digest, chrome_trace, read_events_jsonl,
                               run_diff_markdown, run_digest, span_digest,
-                              validate_chrome_trace, write_chrome_trace,
-                              write_events_jsonl, write_run_diff_jsonl)
+                              validate_chrome_trace, write_chrome_trace)
 from repro.obs.ledger import (GoodputLedger, LedgerEntry, queue_wait_by_job,
                               round_entries)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -57,14 +57,14 @@ __all__ = [
     "SpanStats",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
     "chrome_trace", "write_chrome_trace", "validate_chrome_trace",
-    "write_events_jsonl", "read_events_jsonl", "span_digest", "run_digest",
+    "read_events_jsonl", "span_digest", "run_digest",
     "alert_digest",
     "GoodputLedger", "LedgerEntry", "queue_wait_by_job",
     "AllocationEvent", "AuditTrail", "classify_change", "event_counts",
     "events_for_job", "migration_flows",
     "AllocDelta", "DivergencePoint", "MetricDelta", "RoundDelta", "RunDiff",
-    "aligned_ledger_deltas", "compare_runs", "fault_recovery_seconds",
-    "run_diff_markdown", "write_run_diff_jsonl",
+    "aligned_ledger_deltas", "diff_runs", "fault_recovery_seconds",
+    "run_diff_markdown",
     "interpolated_quantile", "round_entries",
     "RollingWindow", "EMA", "RollingRate",
     "Alert", "SLORule", "SLOEngine", "default_rules", "parse_rules",

@@ -204,7 +204,7 @@ def allocation_persistence(rounds: Sequence[Any]) -> float | None:
     solver can reuse.  Jobs that finished or were preempted count as
     churn; jobs admitted later enter the denominator once allocated.
     Returns None when fewer than two rounds carry allocations (nothing to
-    compare — e.g. results saved with ``include_rounds=False``).
+    compare).
 
     Pollux observes (and Sia's round structure inherits) that this ratio
     is high in steady state, which is what makes the warm-start/reuse

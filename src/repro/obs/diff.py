@@ -1,24 +1,28 @@
-"""Cross-run decision diff: align two futures of one run, round by round.
+"""Run diff: compare two runs round by round in one aligned walk.
 
-The counterfactual replay engine (:mod:`repro.analysis.replay`) forks a
-recorded run at round N and plays out an alternate future; this module
-holds the *artifact* that comparison produces — :class:`RunDiff` — and the
-pure alignment machinery that builds its pieces from two
-``SimulationResult``-like objects (live or JSON-loaded, like everything in
-``repro.obs``):
+:func:`diff_runs` is the only run-comparison engine.  It serves two
+callers with one answer:
 
-* per-round allocation deltas, each classified with the
-  :mod:`repro.obs.audit` event taxonomy applied across runs (base -> fork);
-* divergence-point detection: the first round the two plans differ, with a
-  reason derived from what else differed there (fault draws, plan backend,
-  or a pure scheduling decision);
-* ledger alignment: per-round realized/estimated goodput sums from two
-  :class:`~repro.obs.ledger.GoodputLedger`\\ s on a shared round axis;
-* fault-recovery attribution from audit events (time from fault-caused
-  resource loss to the matching restart).
+* the chaos harness (:mod:`repro.sim.chaos`) and the identity tests ask
+  "are these runs bit-identical?" — ``RunDiff.mismatches`` lists every
+  field-level difference (wall-clock telemetry excluded), empty when the
+  runs match;
+* the counterfactual replay engine (:mod:`repro.analysis.replay`) asks
+  "where and why did the two futures diverge?" — the same walk fills
+  per-round allocation deltas, each classified with the
+  :mod:`repro.obs.audit` event taxonomy applied across runs (base ->
+  fork), and the divergence point: the first round where anything
+  differs, with a reason (fault draws, plan backend, allocation choice,
+  or else the first differing field).
 
-Everything serializes via ``to_dict``/``from_dict`` so :mod:`repro.io` can
-round-trip ``diff.json`` artifacts exactly.
+Identity is the special case: ``RunDiff.identical`` holds exactly when
+``divergence is None``.  The module also holds ledger alignment
+(per-round realized goodput sums from two
+:class:`~repro.obs.ledger.GoodputLedger`\\ s on a shared round axis) and
+fault-recovery attribution from audit events.  Inputs are
+``SimulationResult``-like objects, live or JSON-loaded, like everything in
+``repro.obs``; everything serializes via ``to_dict``/``from_dict`` so
+:mod:`repro.io` can round-trip ``diff.json`` artifacts exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +33,20 @@ from typing import Any, Iterable
 from repro.obs import audit
 from repro.obs.ledger import GoodputLedger
 
-#: allocation as the diff sees it: (gpu_type, num_gpus), or None.
-AllocPair = "tuple[str, int] | None"
+#: metric-key prefixes excluded from run comparison: host timing
+#: ("solve_time_s", "checkpoint") plus the live-telemetry plane ("slo.",
+#: "stream.") — SLO burn-rate gauges and stream counters exist only on
+#: observed runs and may derive from wall-clock series, yet must never
+#: make an observed run diff against an unobserved one.
+EXCLUDED_METRIC_PREFIXES = ("solve_time_s", "checkpoint", "slo.", "stream.")
+
+# RoundRecord.alerts and .solve_time are deliberately absent: alerts fire
+# only on SLO-observed runs (and may depend on wall-clock latency series),
+# so comparing them would make observation itself a "divergence".
+_ROUND_FIELDS = ("time", "active_jobs", "running_jobs", "allocations",
+                 "gpus_used", "backend", "degraded", "fault_events",
+                 "estimates", "realized", "throughputs", "events",
+                 "health_events")
 
 
 def _classify(job_id: str, time: float, base: "tuple[str, int] | None",
@@ -161,25 +177,28 @@ class MetricDelta:
 
 @dataclass
 class RunDiff:
-    """Everything a counterfactual fork changed, relative to its base run.
+    """Everything a fork changed, relative to its base run.
 
-    Produced by :func:`repro.analysis.replay.replay`; serialized by
-    :func:`repro.io.save_run_diff`; rendered by
-    :func:`repro.obs.export.run_diff_markdown` and consumed by
+    Produced by :func:`diff_runs` (which fills the comparison fields);
+    :func:`repro.analysis.replay.replay` adds the fork round, overrides
+    and outcome deltas.  Serialized by :func:`repro.io.save_run_diff`;
+    rendered by :func:`repro.obs.export.run_diff_markdown` and consumed by
     ``repro explain --counterfactual``.
     """
 
     #: round the fork branched at (rounds < fork_round are shared history).
-    fork_round: int
+    fork_round: int = 0
     #: overrides applied to the fork, by name (empty = identity fork).
     overrides: dict[str, str] = field(default_factory=dict)
     base_scheduler: str = ""
     fork_scheduler: str = ""
     base_rounds: int = 0
     fork_rounds: int = 0
-    #: strict equivalence-oracle mismatches (the PR 5 resume-equivalence
-    #: diff, wall-clock metrics excluded).  Empty = bit-identical futures.
+    #: field-level differences, wall-clock metrics excluded.  Empty =
+    #: bit-identical futures.
     mismatches: list[str] = field(default_factory=list)
+    #: the first round where anything differs (None exactly when
+    #: ``mismatches`` is empty).
     divergence: DivergencePoint | None = None
     round_deltas: list[RoundDelta] = field(default_factory=list)
     metrics: list[MetricDelta] = field(default_factory=list)
@@ -192,7 +211,9 @@ class RunDiff:
     @property
     def identical(self) -> bool:
         """True when the fork reproduced the base run bit-identically
-        (modulo wall-clock telemetry) — the zero-override guarantee."""
+        (modulo wall-clock telemetry) — the zero-override guarantee.
+        :func:`diff_runs` sets a divergence point exactly when this is
+        False."""
         return not self.mismatches
 
     def metric(self, name: str) -> MetricDelta | None:
@@ -234,6 +255,11 @@ class RunDiff:
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "RunDiff":
         divergence = data.get("divergence")
+        if data.get("mismatches") and not divergence:
+            # Older builds could record a non-identical diff without a
+            # divergence point; every renderer needs one.
+            raise ValueError("run diff lists mismatches but no divergence "
+                             "point; re-run `repro replay` to regenerate it")
         return RunDiff(
             fork_round=data["fork_round"],
             overrides=dict(data.get("overrides", {})),
@@ -253,7 +279,60 @@ class RunDiff:
                         data.get("job_deltas", {}).items()})
 
 
-# -- alignment -----------------------------------------------------------------
+# -- the walk ------------------------------------------------------------------
+
+def _metric_keys(base: dict[str, float], fork: dict[str, float],
+                 ) -> list[str] | None:
+    """Keys two metric snapshots disagree on, excluded prefixes dropped
+    (None when they agree)."""
+    base = {k: v for k, v in base.items()
+            if not k.startswith(EXCLUDED_METRIC_PREFIXES)}
+    fork = {k: v for k, v in fork.items()
+            if not k.startswith(EXCLUDED_METRIC_PREFIXES)}
+    if base == fork:
+        return None
+    return sorted(k for k in set(base) | set(fork)
+                  if base.get(k) != fork.get(k))
+
+
+def _round_mismatches(base_rnd: Any, fork_rnd: Any,
+                      index: int) -> list[tuple[str, str]]:
+    """``(field, message)`` for every field two aligned rounds differ on."""
+    out = []
+    for name in _ROUND_FIELDS:
+        a, b = getattr(base_rnd, name), getattr(fork_rnd, name)
+        if a != b:
+            out.append((name, f"round {index}: {name} differs "
+                              f"({a!r} != {b!r})"))
+    keys = _metric_keys(base_rnd.metrics, fork_rnd.metrics)
+    if keys is not None:
+        out.append(("metrics", f"round {index}: metrics differ on {keys}"))
+    return out
+
+
+def _run_mismatches(base: Any, fork: Any) -> list[tuple[str, str]]:
+    """``(field, message)`` for every run-level difference: outcome
+    fields, job records and the final metrics snapshot."""
+    out = []
+    for name in ("scheduler_name", "end_time", "censored", "node_failures"):
+        a, b = getattr(base, name), getattr(fork, name)
+        if a != b:
+            out.append((name, f"{name} differs ({a!r} != {b!r})"))
+    base_jobs = {j.job_id: j for j in base.jobs}
+    fork_jobs = {j.job_id: j for j in fork.jobs}
+    if set(base_jobs) != set(fork_jobs):
+        out.append(("job set", f"job sets differ: "
+                               f"{sorted(set(base_jobs) ^ set(fork_jobs))}"))
+    for job_id in sorted(set(base_jobs) & set(fork_jobs)):
+        if base_jobs[job_id] != fork_jobs[job_id]:
+            out.append(("job records",
+                        f"job {job_id}: records differ "
+                        f"({base_jobs[job_id]!r} != {fork_jobs[job_id]!r})"))
+    keys = _metric_keys(base.final_metrics, fork.final_metrics)
+    if keys is not None:
+        out.append(("final metrics", f"final metrics differ on {keys}"))
+    return out
+
 
 def _round_changes(base_rnd: Any, fork_rnd: Any,
                    ) -> tuple[AllocDelta, ...]:
@@ -276,22 +355,19 @@ def _one_sided(rnd: Any, side: str, index: int) -> RoundDelta:
     changes = []
     for job_id in sorted(rnd.allocations):
         alloc = rnd.allocations[job_id]
-        if side == "base":
-            changes.append(AllocDelta(job_id=job_id, base=alloc, fork=None,
-                                      kind=_classify(job_id, rnd.time,
-                                                     alloc, None)))
-        else:
-            changes.append(AllocDelta(job_id=job_id, base=None, fork=alloc,
-                                      kind=_classify(job_id, rnd.time,
-                                                     None, alloc)))
+        base, fork = (alloc, None) if side == "base" else (None, alloc)
+        changes.append(AllocDelta(job_id=job_id, base=base, fork=fork,
+                                  kind=_classify(job_id, rnd.time,
+                                                 base, fork)))
     return RoundDelta(round_index=index, time=rnd.time,
-                      changes=changes and tuple(changes) or (),
-                      only_in=side)
+                      changes=tuple(changes), only_in=side)
 
 
 def _divergence_reason(base_rnd: Any, fork_rnd: Any,
-                       changes: tuple[AllocDelta, ...]) -> str:
-    """Why the first differing round differed, from what else changed."""
+                       changes: tuple[AllocDelta, ...],
+                       first_field: str) -> str:
+    """Why the first differing round differed: fault draws, then plan
+    backend, then allocation choice, else the first differing field."""
     base_faults = [(e.kind, e.target) for e in base_rnd.fault_events]
     fork_faults = [(e.kind, e.target) for e in fork_rnd.fault_events]
     if base_faults != fork_faults:
@@ -301,50 +377,74 @@ def _divergence_reason(base_rnd: Any, fork_rnd: Any,
         return (f"plan backend differs "
                 f"(base: {base_rnd.backend or 'none'}, "
                 f"fork: {fork_rnd.backend or 'none'})")
-    kinds = sorted({c.kind for c in changes if c.kind})
-    return (f"scheduler chose different allocations for "
-            f"{len(changes)} job(s)"
-            + (f" ({', '.join(kinds)})" if kinds else ""))
+    if changes:
+        kinds = sorted({c.kind for c in changes if c.kind})
+        return (f"scheduler chose different allocations for "
+                f"{len(changes)} job(s)"
+                + (f" ({', '.join(kinds)})" if kinds else ""))
+    return f"round records differ on {first_field}"
 
 
-def compare_runs(base: Any, fork: Any,
-                 ) -> tuple[list[RoundDelta], DivergencePoint | None]:
-    """Align two ``SimulationResult``-like futures round by round.
+def diff_runs(base: Any, fork: Any) -> RunDiff:
+    """Compare two ``SimulationResult``-like runs in one aligned walk.
 
-    Returns every differing round plus the divergence point (None when the
-    allocation logs are identical).  Rounds past the shorter run count as
-    one-sided deltas, so a fork that finishes earlier or later is fully
-    accounted for.
+    Each aligned round contributes its field-level mismatches, its
+    allocation deltas, and — for the first round with any mismatch — the
+    divergence point.  Rounds past the shorter run count as one-sided
+    deltas, so a fork that finishes earlier or later is fully accounted
+    for.  When every common round agrees but the runs still differ — one
+    has rounds the other lacks, or only run-level fields (job records,
+    end time, final metrics) differ — the divergence sits just past the
+    common rounds.  So ``identical`` holds exactly when ``divergence`` is
+    None.  The returned diff has ``fork_round`` 0 and no overrides or
+    outcome deltas; :func:`repro.analysis.replay.replay` fills those in.
     """
+    n_base, n_fork = len(base.rounds), len(fork.rounds)
+    mismatches: list[str] = []
+    if n_base != n_fork:
+        mismatches.append(f"round count differs: {n_base} != {n_fork}")
     deltas: list[RoundDelta] = []
     divergence: DivergencePoint | None = None
-    common = min(len(base.rounds), len(fork.rounds))
-    for index in range(common):
-        base_rnd, fork_rnd = base.rounds[index], fork.rounds[index]
-        changes = _round_changes(base_rnd, fork_rnd)
-        if not changes:
+    for index, (base_rnd, fork_rnd) in enumerate(zip(base.rounds,
+                                                     fork.rounds)):
+        fields = _round_mismatches(base_rnd, fork_rnd, index)
+        if not fields:
             continue
-        deltas.append(RoundDelta(round_index=index, time=base_rnd.time,
-                                 changes=changes))
+        mismatches.extend(line for _, line in fields)
+        changes = _round_changes(base_rnd, fork_rnd)
+        if changes:
+            deltas.append(RoundDelta(round_index=index, time=base_rnd.time,
+                                     changes=changes))
         if divergence is None:
             divergence = DivergencePoint(
                 round_index=index, time=base_rnd.time,
                 jobs=tuple(c.job_id for c in changes),
-                reason=_divergence_reason(base_rnd, fork_rnd, changes))
-    for index in range(common, len(base.rounds)):
+                reason=_divergence_reason(base_rnd, fork_rnd, changes,
+                                          fields[0][0]))
+    common = min(n_base, n_fork)
+    for index in range(common, n_base):
         deltas.append(_one_sided(base.rounds[index], "base", index))
-    for index in range(common, len(fork.rounds)):
+    for index in range(common, n_fork):
         deltas.append(_one_sided(fork.rounds[index], "fork", index))
-    if divergence is None and len(base.rounds) != len(fork.rounds):
-        side = base if len(base.rounds) > len(fork.rounds) else fork
-        rnd = side.rounds[common]
+    run_fields = _run_mismatches(base, fork)
+    mismatches.extend(line for _, line in run_fields)
+    if divergence is None and n_base != n_fork:
+        rnd = (base if n_base > n_fork else fork).rounds[common]
         divergence = DivergencePoint(
             round_index=common, time=rnd.time,
             jobs=tuple(sorted(rnd.allocations)),
             reason=(f"futures end at different rounds "
-                    f"(base: {len(base.rounds)}, fork: "
-                    f"{len(fork.rounds)})"))
-    return deltas, divergence
+                    f"(base: {n_base}, fork: {n_fork})"))
+    elif divergence is None and run_fields:
+        divergence = DivergencePoint(
+            round_index=common, time=base.end_time,
+            reason=f"rounds agree; run records differ on "
+                   f"{run_fields[0][0]}")
+    return RunDiff(base_scheduler=base.scheduler_name,
+                   fork_scheduler=fork.scheduler_name,
+                   base_rounds=n_base, fork_rounds=n_fork,
+                   mismatches=mismatches, divergence=divergence,
+                   round_deltas=deltas)
 
 
 def aligned_ledger_deltas(base: GoodputLedger, fork: GoodputLedger,

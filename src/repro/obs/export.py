@@ -7,7 +7,8 @@ Three formats:
   Spans become complete ("X") events; instant events become "i" events.
 * **JSONL event log** — one JSON object per line (spans, instant events,
   and a final metrics snapshot), for ad-hoc ``jq``/pandas analysis.
-  Round-trips through :func:`read_events_jsonl`.
+  Written live by :class:`repro.obs.stream.EventStreamObserver`; read
+  back by :func:`read_events_jsonl`.
 * **Digest** — a human-readable per-run summary (phase breakdown, span
   stats, metrics) printed by the CLI's ``--metrics-digest``.
 """
@@ -96,31 +97,11 @@ def validate_chrome_trace(payload: Any) -> None:
 
 # -- JSONL event log ----------------------------------------------------------
 
-def write_events_jsonl(spans: Sequence[SpanRecord], path: str | Path,
-                       events: Iterable[tuple[str, float, dict[str, Any]]] = (),
-                       metrics: dict[str, float] | None = None) -> None:
-    """One JSON object per line: spans in completion order, then instant
-    events, then a final ``metrics`` snapshot line (when given)."""
-    lines = []
-    for span in spans:
-        lines.append(json.dumps({
-            "kind": "span", "name": span.name, "start": span.start,
-            "duration": span.duration, "span_id": span.span_id,
-            "parent_id": span.parent_id, "depth": span.depth,
-            "attrs": span.attrs,
-        }))
-    for name, ts, attrs in events:
-        lines.append(json.dumps({
-            "kind": "event", "name": name, "time": ts, "attrs": dict(attrs),
-        }))
-    if metrics is not None:
-        lines.append(json.dumps({"kind": "metrics", "values": metrics}))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 def read_events_jsonl(path: str | Path,
                       ) -> tuple[list[SpanRecord], dict[str, float]]:
-    """Round-trip reader: (spans, final metrics snapshot)."""
+    """Read an event log written by
+    :class:`repro.obs.stream.EventStreamObserver` (``--events-out``):
+    (spans, final metrics snapshot)."""
     spans: list[SpanRecord] = []
     metrics: dict[str, float] = {}
     for line in Path(path).read_text().splitlines():
@@ -141,32 +122,6 @@ def read_events_jsonl(path: str | Path,
 
 # -- counterfactual run diffs --------------------------------------------------
 
-def write_run_diff_jsonl(diff: Any, path: str | Path) -> None:
-    """One JSON object per line for a :class:`~repro.obs.diff.RunDiff`:
-    a header (fork round, overrides, schedulers, identity verdict), one
-    ``round_delta`` line per differing round, one ``metric`` line per
-    outcome delta, and one ``job_delta`` line per job — the ``jq``-friendly
-    sibling of the exact ``diff.json`` written by
-    :func:`repro.io.save_run_diff`."""
-    lines = [json.dumps({
-        "kind": "run_diff", "fork_round": diff.fork_round,
-        "overrides": dict(diff.overrides),
-        "base_scheduler": diff.base_scheduler,
-        "fork_scheduler": diff.fork_scheduler,
-        "base_rounds": diff.base_rounds, "fork_rounds": diff.fork_rounds,
-        "identical": diff.identical,
-        "divergence": diff.divergence.to_dict() if diff.divergence else None,
-    })]
-    for rnd in diff.round_deltas:
-        lines.append(json.dumps({"kind": "round_delta", **rnd.to_dict()}))
-    for metric in diff.metrics:
-        lines.append(json.dumps({"kind": "metric", **metric.to_dict()}))
-    for job_id, vals in diff.job_deltas.items():
-        lines.append(json.dumps({"kind": "job_delta", "job_id": job_id,
-                                 **vals}))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def run_diff_markdown(diff: Any) -> str:
     """Render a :class:`~repro.obs.diff.RunDiff` as a markdown section —
     shared by the report's decision-diff section and standalone export."""
@@ -184,7 +139,7 @@ def run_diff_markdown(diff: Any) -> str:
     if diff.identical:
         lines.append("The two futures are **bit-identical** (modulo "
                      "wall-clock telemetry).")
-    elif diff.divergence is not None:
+    else:
         d = diff.divergence
         lines.append(f"**Divergence at round {d.round_index}** "
                      f"(t={d.time:.0f}s): {d.reason}. "
@@ -255,9 +210,8 @@ def alert_digest(result: Any) -> str:
 def run_digest(result: Any) -> str:
     """Observability digest for one :class:`SimulationResult`-like object
     (anything with ``spans``, ``final_metrics``, ``rounds``).  Degenerate
-    inputs — no rounds (saved with ``include_rounds=False``), no spans, or
-    no metrics snapshot — each get an explicit line instead of a silently
-    missing section."""
+    inputs — no rounds, no spans, or no metrics snapshot — each get an
+    explicit line instead of a silently missing section."""
     sections = [f"== observability digest: {result.scheduler_name} =="]
     rounds = result.rounds
     if rounds:
@@ -268,8 +222,7 @@ def run_digest(result: Any) -> str:
             sections.append(f"phase breakdown: {parts} "
                             f"(recorded solve_time total: {total_solve:.4f}s)")
     else:
-        sections.append("(no per-round records; the result was saved "
-                        "without rounds)")
+        sections.append("(no per-round records)")
     if result.spans:
         sections.append(span_digest(result.spans))
     else:

@@ -26,7 +26,7 @@ Rule semantics (documented in DESIGN.md "Live telemetry & SLOs"):
 
 Determinism: the engine only *reads* round records — it never touches the
 simulation's RNG or state — so a run evaluated with SLOs is bit-identical
-to one without (the chaos ``diff_results`` oracle excludes the alert and
+to one without (:func:`repro.obs.diff.diff_runs` excludes the alert and
 ``slo.*``-metric fields, the same carve-out as wall-clock timing, because
 rules over ``round_latency_*`` are legitimately host-timing-dependent).
 """

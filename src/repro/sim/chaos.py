@@ -14,15 +14,18 @@ module turns that contract into an executable experiment:
    a torn write the atomic rename could not prevent, e.g. media damage);
 4. **resume** a fresh simulator from the checkpoint directory — the loader
    falls back past corrupted files — and run to completion;
-5. diff the resumed result against the reference, field by field.
+5. diff the resumed result against the reference with
+   :func:`repro.obs.diff.diff_runs` — the same walk the counterfactual
+   replay engine uses — and keep its field-level ``mismatches``.
 
 The diff demands exact equality of every simulation-state field: round
 times, allocations, GPU usage, realized/estimated goodputs, throughputs,
 fault events, audit events, backends, degraded flags, job records, end
 time, censored counts.  Only wall-clock-derived telemetry is excluded —
 ``RoundRecord.solve_time`` and metric keys under ``solve_time_s`` /
-``checkpoint`` — because host timing legitimately differs between the
-processes on either side of a crash.
+``checkpoint`` (see :data:`repro.obs.diff.EXCLUDED_METRIC_PREFIXES`) —
+because host timing legitimately differs between the processes on either
+side of a crash.
 
 Used by ``repro chaos`` (CLI) and the CI chaos job.
 """
@@ -34,19 +37,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from repro.obs.diff import diff_runs
 from repro.sim import checkpoint as ckpt
 from repro.sim.checkpoint import CheckpointConfig, CheckpointError
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
-    from repro.sim.telemetry import RoundRecord, SimulationResult
-
-#: metric-key prefixes excluded from equivalence comparison: host timing
-#: ("solve_time_s", "checkpoint") plus the live-telemetry plane ("slo.",
-#: "stream.") — SLO burn-rate gauges and stream counters exist only on
-#: observed runs and may derive from wall-clock series, yet must never
-#: make an observed run diff against an unobserved one.
-EXCLUDED_METRIC_PREFIXES = ("solve_time_s", "checkpoint", "slo.", "stream.")
 
 
 class SimulatedCrash(RuntimeError):
@@ -86,67 +82,6 @@ def corrupt_checkpoint(path: str | Path) -> None:
     target = (len(raw) // 2) or (len(raw) - 1)
     raw[target] ^= 0xFF
     path.write_bytes(raw)
-
-
-# -- equivalence diff ----------------------------------------------------------
-
-def _filter_metrics(metrics: dict[str, float]) -> dict[str, float]:
-    return {k: v for k, v in metrics.items()
-            if not k.startswith(EXCLUDED_METRIC_PREFIXES)}
-
-
-# RoundRecord.alerts and .solve_time are deliberately absent: alerts fire
-# only on SLO-observed runs (and may depend on wall-clock latency series),
-# so comparing them would make observation itself a "divergence".
-_ROUND_FIELDS = ("time", "active_jobs", "running_jobs", "allocations",
-                 "gpus_used", "backend", "degraded", "fault_events",
-                 "estimates", "realized", "throughputs", "events",
-                 "health_events")
-
-
-def diff_rounds(ref: "RoundRecord", res: "RoundRecord",
-                index: int) -> list[str]:
-    """Field-level differences between two rounds (wall-clock excluded)."""
-    out = []
-    for name in _ROUND_FIELDS:
-        a, b = getattr(ref, name), getattr(res, name)
-        if a != b:
-            out.append(f"round {index}: {name} differs ({a!r} != {b!r})")
-    a, b = _filter_metrics(ref.metrics), _filter_metrics(res.metrics)
-    if a != b:
-        keys = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
-        out.append(f"round {index}: metrics differ on {keys}")
-    return out
-
-
-def diff_results(reference: "SimulationResult", resumed: "SimulationResult",
-                 ) -> list[str]:
-    """All simulation-state differences between two results (empty =
-    equivalent)."""
-    out: list[str] = []
-    if len(reference.rounds) != len(resumed.rounds):
-        out.append(f"round count differs: {len(reference.rounds)} != "
-                   f"{len(resumed.rounds)}")
-    for i, (a, b) in enumerate(zip(reference.rounds, resumed.rounds)):
-        out.extend(diff_rounds(a, b, i))
-    for name in ("scheduler_name", "end_time", "censored", "node_failures"):
-        a, b = getattr(reference, name), getattr(resumed, name)
-        if a != b:
-            out.append(f"{name} differs ({a!r} != {b!r})")
-    ref_jobs = {j.job_id: j for j in reference.jobs}
-    res_jobs = {j.job_id: j for j in resumed.jobs}
-    if set(ref_jobs) != set(res_jobs):
-        out.append(f"job sets differ: {sorted(set(ref_jobs) ^ set(res_jobs))}")
-    for job_id in sorted(set(ref_jobs) & set(res_jobs)):
-        if ref_jobs[job_id] != res_jobs[job_id]:
-            out.append(f"job {job_id}: records differ "
-                       f"({ref_jobs[job_id]!r} != {res_jobs[job_id]!r})")
-    a = _filter_metrics(reference.final_metrics)
-    b = _filter_metrics(resumed.final_metrics)
-    if a != b:
-        keys = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
-        out.append(f"final metrics differ on {keys}")
-    return out
 
 
 # -- the experiment ------------------------------------------------------------
@@ -237,5 +172,5 @@ def run_chaos(factory: Callable[[CheckpointConfig | None], "Simulator"], *,
         # everything corrupt): recovery is a fresh start.
         resumed = survivor.run()
     report.resumed_rounds = len(resumed.rounds)
-    report.mismatches = diff_results(reference, resumed)
+    report.mismatches = diff_runs(reference, resumed).mismatches
     return report

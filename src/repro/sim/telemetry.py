@@ -145,15 +145,6 @@ class SimulationResult:
     spans: list[SpanRecord] = field(default_factory=list, repr=False)
     #: final metrics snapshot at the end of the run.
     final_metrics: dict[str, float] = field(default_factory=dict)
-    #: fault/backend/alert summaries restored by repro.io when the
-    #: per-round records were not serialized (None while rounds are
-    #: authoritative).
-    saved_fault_counts: dict[str, int] | None = field(default=None,
-                                                      repr=False)
-    saved_backend_counts: dict[str, int] | None = field(default=None,
-                                                        repr=False)
-    saved_alert_counts: dict[str, int] | None = field(default=None,
-                                                      repr=False)
     #: construction recipe of this run (scheduler/cluster/config/job list),
     #: recorded by the CLI and serialized by repro.io so the counterfactual
     #: replay engine can rebuild the simulator and fork it at any round.
@@ -253,14 +244,9 @@ class SimulationResult:
     def total_fault_events(self) -> int:
         return sum(len(r.fault_events) for r in self.rounds)
 
-    def _summary_counts(self, saved: dict[str, int] | None,
-                        keys_of_round) -> dict[str, int]:
-        """Single code path for both round summaries: rounds are the source
-        of truth whenever present; otherwise the summary persisted by
-        :mod:`repro.io` (``save_result(include_rounds=False)``) is used;
-        otherwise the summary is empty."""
-        if not self.rounds:
-            return dict(saved) if saved is not None else {}
+    def _summary_counts(self, keys_of_round) -> dict[str, int]:
+        """Single code path for the round summaries: how often each key
+        ``keys_of_round(rnd)`` yields occurs over the run's rounds."""
         counts: dict[str, int] = {}
         for rnd in self.rounds:
             for key in keys_of_round(rnd):
@@ -270,13 +256,11 @@ class SimulationResult:
     def fault_counts(self) -> dict[str, int]:
         """Injected faults by kind, over the whole run."""
         return self._summary_counts(
-            self.saved_fault_counts,
             lambda rnd: (event.kind for event in rnd.fault_events))
 
     def backend_counts(self) -> dict[str, int]:
         """Rounds by reported plan backend ('' = backend not reported)."""
-        return self._summary_counts(self.saved_backend_counts,
-                                    lambda rnd: (rnd.backend,))
+        return self._summary_counts(lambda rnd: (rnd.backend,))
 
     def resilience_counts(self) -> dict[str, int]:
         """Resilience-layer counters — breaker trips, rounds served per
@@ -313,7 +297,6 @@ class SimulationResult:
     def alert_counts(self) -> dict[str, int]:
         """Fired SLO alerts by rule name, over the whole run."""
         return self._summary_counts(
-            self.saved_alert_counts,
             lambda rnd: (alert.rule for alert in rnd.alerts))
 
     def health_counts(self) -> dict[str, int]:

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.jobs.job import make_job
+from repro.obs.diff import diff_runs
 from repro.schedulers.sia import SiaScheduler
 from repro.sim import checkpoint as ckpt
 from repro.sim.chaos import (ChaosReport, CrashAt, SimulatedCrash,
-                             corrupt_checkpoint, diff_results, run_chaos)
+                             corrupt_checkpoint, run_chaos)
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.faults import JobCrashModel, NodeCrashModel, StragglerModel
 
@@ -98,12 +99,14 @@ class TestDiff:
         factory = _factory(hetero_cluster)
         a = factory(None).run()
         b = factory(None).run()
-        assert diff_results(a, b) == []  # determinism sanity
+        assert diff_runs(a, b).mismatches == []  # determinism sanity
         b.rounds[0].allocations = {"phantom": ("rtx", 1)}
         b.censored = 99
-        mismatches = diff_results(a, b)
-        assert any("allocations" in m for m in mismatches)
-        assert any("censored" in m for m in mismatches)
+        diff = diff_runs(a, b)
+        assert any("allocations" in m for m in diff.mismatches)
+        assert any("censored" in m for m in diff.mismatches)
+        assert diff.divergence.round_index == 0
+        assert "phantom" in diff.divergence.jobs
 
     def test_excludes_wall_clock_fields(self, tmp_path, hetero_cluster):
         factory = _factory(hetero_cluster)
@@ -112,7 +115,7 @@ class TestDiff:
         b.rounds[0].solve_time = 123.0
         b.rounds[0].metrics["solve_time_s.mean"] = 9.9
         b.final_metrics["checkpoint.writes"] = 42
-        assert diff_results(a, b) == []
+        assert diff_runs(a, b).mismatches == []
 
     def test_corrupt_checkpoint_helper(self, tmp_path):
         state = ckpt.CheckpointState(

@@ -7,9 +7,9 @@ import pytest
 from repro.atomicio import atomic_write_bytes, atomic_write_text
 from repro.cluster import presets
 from repro.jobs.job import make_job
+from repro.obs.diff import diff_runs
 from repro.schedulers.sia import SiaScheduler
 from repro.sim import checkpoint as ckpt
-from repro.sim.chaos import diff_results
 from repro.sim.checkpoint import (CheckpointConfig, CheckpointCorruptError,
                                   CheckpointError, CheckpointState)
 from repro.sim.engine import Simulator, SimulatorConfig
@@ -213,7 +213,7 @@ class TestEngineCheckpointResume:
         assert not skipped
         # Resume from a mid-run checkpoint on a *fresh* simulator.
         resumed = _sim(hetero_cluster).run(resume_from=path)
-        assert diff_results(reference, resumed) == []
+        assert diff_runs(reference, resumed).mismatches == []
 
     def test_resume_from_directory_picks_newest(self, tmp_path,
                                                 hetero_cluster):

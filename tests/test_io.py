@@ -88,13 +88,6 @@ class TestResultRoundtrip:
         assert len(loaded.rounds) == len(result.rounds)
         assert loaded.rounds[0].allocations == result.rounds[0].allocations
 
-    def test_rounds_optional(self, result, tmp_path):
-        path = tmp_path / "slim.json"
-        io.save_result(result, path, include_rounds=False)
-        loaded = io.load_result(path)
-        assert loaded.rounds == []
-        assert len(loaded.jobs) == len(result.jobs)
-
 
 class TestAlertsRoundtrip:
     @pytest.fixture(scope="class")
@@ -118,13 +111,6 @@ class TestAlertsRoundtrip:
         io.save_result(alerted, path)
         loaded = io.load_result(path)
         assert loaded.alerts_timeline() == alerted.alerts_timeline()
-        assert loaded.alert_counts() == alerted.alert_counts()
-
-    def test_alert_counts_survive_without_rounds(self, alerted, tmp_path):
-        path = tmp_path / "slim.json"
-        io.save_result(alerted, path, include_rounds=False)
-        loaded = io.load_result(path)
-        assert loaded.rounds == []
         assert loaded.alert_counts() == alerted.alert_counts()
 
     def test_unalerted_result_json_has_no_alert_keys(self, tmp_path):

@@ -328,14 +328,11 @@ class TestSummaryCounts:
                           seed=0, fault_models=[JobCrashModel(rate=6.0)],
                           max_hours=100)
         assert result.fault_counts()  # the run actually faulted
-        for include_rounds in (True, False):
-            path = tmp_path / f"r{include_rounds}.json"
-            io.save_result(result, path, include_rounds=include_rounds)
-            loaded = io.load_result(path)
-            assert loaded.fault_counts() == result.fault_counts(), \
-                f"include_rounds={include_rounds}"
-            assert loaded.backend_counts() == result.backend_counts(), \
-                f"include_rounds={include_rounds}"
+        path = tmp_path / "r.json"
+        io.save_result(result, path)
+        loaded = io.load_result(path)
+        assert loaded.fault_counts() == result.fault_counts()
+        assert loaded.backend_counts() == result.backend_counts()
 
     def test_counts_empty_without_rounds_or_saved(self):
         from repro.sim.telemetry import SimulationResult
@@ -379,10 +376,12 @@ class TestExplain:
         report = build_report([sia_result])
         assert "Decision digest" in report
 
-    def test_digest_empty_without_rounds(self, sia_result, tmp_path):
-        path = tmp_path / "bare.json"
-        io.save_result(sia_result, path, include_rounds=False)
-        assert decision_digest_section(io.load_result(path)) == ""
+    def test_digest_empty_without_rounds(self, sia_result):
+        from repro.sim.telemetry import SimulationResult
+        bare = SimulationResult(scheduler_name=sia_result.scheduler_name,
+                                cluster_description="c",
+                                jobs=list(sia_result.jobs))
+        assert decision_digest_section(bare) == ""
 
 
 class TestLedgerIndex:

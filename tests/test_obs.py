@@ -8,9 +8,8 @@ import pytest
 from repro import io
 from repro.core.types import AdaptivityMode
 from repro.jobs.job import make_job
-from repro.obs.export import (chrome_trace, read_events_jsonl, run_digest,
-                              span_digest, validate_chrome_trace,
-                              write_chrome_trace, write_events_jsonl)
+from repro.obs.export import (chrome_trace, run_digest, span_digest,
+                              validate_chrome_trace, write_chrome_trace)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer, SpanStats, Tracer
 from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
@@ -271,20 +270,6 @@ class TestExport:
         with pytest.raises(ValueError):
             validate_chrome_trace(payload)
 
-    def test_events_jsonl_round_trip(self, tmp_path):
-        tracer = self._spans()
-        path = tmp_path / "events.jsonl"
-        metrics = {"rounds": 3.0}
-        write_events_jsonl(tracer.spans, path, tracer.events, metrics)
-        spans, read_metrics = read_events_jsonl(path)
-        assert read_metrics == metrics
-        assert [s.name for s in spans] == [s.name for s in tracer.spans]
-        assert [s.span_id for s in spans] == \
-            [s.span_id for s in tracer.spans]
-        assert [s.parent_id for s in spans] == \
-            [s.parent_id for s in tracer.spans]
-        assert spans[0].duration == pytest.approx(tracer.spans[0].duration)
-
     def test_span_digest_lists_names(self):
         tracer = self._spans()
         text = span_digest(tracer.spans)
@@ -446,15 +431,6 @@ class TestIoObservability:
         assert loaded.rounds[-1].metrics == result.rounds[-1].metrics
         assert loaded.final_metrics == result.final_metrics
 
-    def test_counts_survive_without_rounds(self, hetero_cluster, tmp_path):
-        result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()])
-        path = tmp_path / "result.json"
-        io.save_result(result, path, include_rounds=False)
-        loaded = io.load_result(path)
-        assert loaded.rounds == []
-        assert loaded.fault_counts() == result.fault_counts()
-        assert loaded.backend_counts() == result.backend_counts()
-
 
 # -- digest -------------------------------------------------------------------
 
@@ -479,13 +455,14 @@ class TestRunDigest:
         assert "tracing disabled" in text
         assert "no metrics snapshot" in text
 
-    def test_digest_rounds_without_metrics(self, hetero_cluster, tmp_path):
+    def test_digest_rounds_without_metrics(self, hetero_cluster):
         result = simulate(hetero_cluster, SiaScheduler(), [tiny_job()])
-        path = tmp_path / "slim.json"
-        io.save_result(result, path, include_rounds=False)
-        text = run_digest(io.load_result(path))
+        bare = SimulationResult(scheduler_name=result.scheduler_name,
+                                cluster_description="c",
+                                final_metrics=dict(result.final_metrics))
+        text = run_digest(bare)
         assert "no per-round records" in text
-        assert "rounds_planned" in text  # final metrics still survive
+        assert "rounds_planned" in text  # the final metrics still print
 
     def test_digest_includes_alert_section(self, hetero_cluster):
         from repro.obs.slo import SLOEngine, SLORule

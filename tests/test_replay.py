@@ -1,22 +1,21 @@
 """Counterfactual replay: fork semantics, identity oracle, RunDiff artifacts."""
 
+import copy
 import json
 
 import pytest
 
 from repro import io
 from repro.analysis.explain import explain_job
-from repro.analysis.replay import (ReplayOverrides, build_run_spec,
-                                   fork_state, replay, simulator_from_spec)
+from repro.analysis.replay import (ReplayOverrides, build_run_spec, replay,
+                                   simulator_from_spec)
 from repro.analysis.report import build_report
-from repro.cluster import presets
 from repro.core import fork as forklib
 from repro.obs.diff import (AllocDelta, DivergencePoint, MetricDelta,
-                            RoundDelta, RunDiff, aligned_ledger_deltas,
-                            compare_runs, fault_recovery_seconds)
-from repro.obs.export import run_diff_markdown, write_run_diff_jsonl
+                            RoundDelta, aligned_ledger_deltas, diff_runs,
+                            fault_recovery_seconds)
+from repro.obs.export import run_diff_markdown
 from repro.obs.ledger import GoodputLedger
-from repro.sim.chaos import diff_results
 from repro.sim.checkpoint import CheckpointConfig
 from repro.workloads.generators import trace_by_name
 
@@ -214,15 +213,15 @@ class TestRunDiffArtifact:
         assert loaded == diff
         assert loaded.to_dict() == diff.to_dict()
 
-    def test_jsonl_export(self, diff, tmp_path):
-        path = tmp_path / "diff.jsonl"
-        write_run_diff_jsonl(diff, path)
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        assert lines[0]["kind"] == "run_diff"
-        assert lines[0]["fork_round"] == 4
-        kinds = {line["kind"] for line in lines}
-        assert {"round_delta", "metric", "job_delta"} <= kinds
+    def test_load_rejects_mismatches_without_divergence(self, diff,
+                                                         tmp_path):
+        path = tmp_path / "diff.json"
+        io.save_run_diff(diff, path)
+        payload = json.loads(path.read_text())
+        del payload["divergence"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="no divergence point"):
+            io.load_run_diff(path)
 
     def test_markdown_rendering(self, diff):
         text = run_diff_markdown(diff)
@@ -246,15 +245,51 @@ class TestRunDiffArtifact:
 
 class TestDiffAligner:
     def test_compare_identical_runs_is_empty(self, base_result):
-        deltas, divergence = compare_runs(base_result, base_result)
-        assert deltas == [] and divergence is None
+        diff = diff_runs(base_result, base_result)
+        assert diff.identical
+        assert diff.round_deltas == [] and diff.divergence is None
 
     def test_one_sided_tail_rounds(self, base_result, base_spec):
         truncated = simulator_from_spec(base_spec)
         state = truncated.run_to_round(len(base_result.rounds) - 2)
-        deltas, divergence = compare_runs(base_result, state.result)
-        assert divergence is not None
-        assert any(d.only_in == "base" for d in deltas)
+        diff = diff_runs(base_result, state.result)
+        assert diff.divergence is not None
+        assert any(d.only_in == "base" for d in diff.round_deltas)
+
+    @pytest.mark.parametrize("overrides", [
+        ReplayOverrides(),
+        ReplayOverrides(policy="gavel"),
+        ReplayOverrides(solver_backend="lp_round"),
+        ReplayOverrides(solver_backend="greedy"),
+        ReplayOverrides(health="on"),
+        ReplayOverrides(cluster_delta="+8xa100"),
+    ], ids=["identity", "gavel", "lp_round", "greedy", "health_on",
+            "grow"])
+    def test_divergence_is_first_differing_round(self, base_result,
+                                                 overrides):
+        diff = replay(base_result, 3, overrides).diff
+        assert diff.identical == (diff.divergence is None)
+        if overrides.empty:
+            assert diff.identical, diff.mismatches[:5]
+            return
+        assert diff.divergence.round_index == 3, diff.mismatches[:3]
+        first = diff.mismatches[0]
+        assert first.startswith("round count") or \
+            first.startswith("round 3:"), first
+        if overrides.solver_backend == "lp_round":
+            assert diff.divergence.reason.startswith("plan backend differs")
+
+    def test_run_level_difference_diverges_after_common_rounds(
+            self, base_result):
+        fork = copy.deepcopy(base_result)
+        fork.end_time += 60.0
+        diff = diff_runs(base_result, fork)
+        assert diff.mismatches == [
+            f"end_time differs ({base_result.end_time!r} != "
+            f"{fork.end_time!r})"]
+        assert not diff.round_deltas
+        assert diff.divergence.round_index == len(base_result.rounds)
+        assert "end_time" in diff.divergence.reason
 
     def test_aligned_ledger_deltas_share_axis(self, base_result):
         ledger = GoodputLedger.from_result(base_result)
@@ -334,6 +369,19 @@ class TestCLI:
         assert main(["report", str(run), "--diff", str(diff_path),
                      "--out", str(report)]) == 0
         assert "Counterfactual diff" in report.read_text()
+
+    def test_replay_reports_backend_divergence(self, tmp_path, capsys):
+        from repro.cli import main
+        run = tmp_path / "run.json"
+        assert main(["run", "--trace-name", "philly", "--num-jobs", "5",
+                     "--work-scale", "0.05", "--seed", "3",
+                     "--round-duration", "60", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(run), "--at-round", "3",
+                     "--solver-backend", "lp_round"]) == 0
+        out = capsys.readouterr().out
+        assert "diverged at round 3" in out
+        assert "plan backend differs" in out
 
     def test_replay_unknown_policy_exits_cleanly(self, tmp_path):
         from repro.cli import main

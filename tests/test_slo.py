@@ -275,7 +275,7 @@ class TestEndToEnd:
     def test_observed_run_matches_unobserved_rounds(self, hetero_cluster):
         """Determinism: attaching the SLO observer must not perturb any
         simulation-state field (the chaos oracle's contract)."""
-        from repro.sim.chaos import diff_results
+        from repro.obs.diff import diff_runs
         observed, _ = gray_slo_sim(hetero_cluster)
         config = SimulatorConfig(
             profiling_mode=ProfilingMode.ORACLE, seed=4, max_hours=100,
@@ -285,4 +285,4 @@ class TestEndToEnd:
             health=HealthConfig(min_samples=3))
         plain = Simulator(hetero_cluster, SiaScheduler(), jobs(4),
                           config).run()
-        assert diff_results(plain, observed) == []
+        assert diff_runs(plain, observed).mismatches == []

@@ -19,11 +19,11 @@ from repro.core.resilience import ResilienceConfig, ResilientScheduler
 from repro.core.types import Allocation, Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.obs.audit import allocation_persistence
+from repro.obs.diff import diff_runs
 from repro.perf.estimator import JobPerfEstimator
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import JobView
 from repro.sim import simulate
-from repro.sim.chaos import diff_results
 from repro.workloads.generators import trace_by_name
 
 #: documented worst-case optimality gap on adversarial dense random
@@ -265,7 +265,7 @@ class TestTelemetryRoundTrips:
     def test_identical_runs_are_bit_identical(self, hetero_cluster):
         first = self._run(hetero_cluster)
         second = self._run(hetero_cluster)
-        assert diff_results(first, second) == []
+        assert diff_runs(first, second).mismatches == []
 
 
 class TestReplayFork:

@@ -11,6 +11,7 @@ import pytest
 from repro import io
 from repro.core.types import ProfilingMode
 from repro.jobs.job import make_job
+from repro.obs.diff import diff_runs
 from repro.obs.ledger import GoodputLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOEngine, SLORule
@@ -22,7 +23,7 @@ from repro.obs.stream import (AlertStreamObserver, EventStreamObserver,
 from repro.obs.tracer import Tracer
 from repro.schedulers import SiaScheduler
 from repro.sim import Simulator, SimulatorConfig, simulate
-from repro.sim.chaos import CrashAt, SimulatedCrash, diff_results
+from repro.sim.chaos import CrashAt, SimulatedCrash
 from repro.sim.checkpoint import CheckpointConfig, latest_valid_checkpoint
 
 
@@ -194,7 +195,7 @@ class TestDeterminism:
         plain = simulate(hetero_cluster, SiaScheduler(), jobs(),
                          profiling_mode=ProfilingMode.ORACLE)
         observed = streamed_run(hetero_cluster, tmp_path)
-        assert diff_results(plain, observed) == []
+        assert diff_runs(plain, observed).mismatches == []
 
 
 # -- Prometheus exposition -----------------------------------------------------
