@@ -38,7 +38,7 @@ resume replays identical delays without extra RNG state.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.cluster import Cluster

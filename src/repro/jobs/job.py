@@ -14,7 +14,7 @@ category (total-GPU-time buckets of Section 4.1) scaled per job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import AdaptivityMode
 from repro.jobs.hybrid import HybridSpec

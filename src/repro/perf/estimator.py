@@ -34,7 +34,7 @@ from repro.core.types import Configuration, ProfilingMode
 from repro.perf import profiles
 from repro.perf.efficiency import EfficiencyModel, EfficiencyParams
 from repro.perf.fitting import FitResult, Observation, fit_throughput_params
-from repro.perf.goodput import BatchPlan, GoodputModel
+from repro.perf.goodput import BatchGrid, BatchPlan, GoodputModel
 from repro.perf.throughput import ThroughputModel, ThroughputParams
 
 #: Type-blind prior used when nothing at all is known (No-Prof cold start).
@@ -293,43 +293,34 @@ class JobPerfEstimator:
         return ThroughputModel(_PRIOR_PARAMS).throughput(
             local_bsz, num_gpus, num_nodes, accum_steps)
 
-    def throughput_batch(self, gpu_type: str, local_bsz: np.ndarray,
-                         num_gpus: int, num_nodes: int,
-                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`throughput`: one dispatch decision per
-        (type, shape), then a single batched model evaluation over the
-        whole (local_bsz, accum_steps) grid.
+    def throughput_grid(self, gpu_type: str, grid: BatchGrid,
+                        num_gpus: int, num_nodes: int) -> np.ndarray:
+        """Vectorized :meth:`throughput` over a candidate grid: one
+        dispatch decision per (type, shape), then one batched model
+        evaluation.
 
         The dispatch branch taken is identical to the scalar path because
-        none of the routing conditions depend on the batch plan; only the
-        Equation (1) reference-type choice can vary per grid point, and
-        the bootstrap branch replicates that selection elementwise.
+        none of the routing conditions depend on the batch plan.  Only the
+        Equation (1) reference type can vary across the grid, and it
+        depends on the local batch size alone, so the bootstrap picks it
+        once per distinct local size.
         """
-        local = np.asarray(local_bsz, dtype=np.int64)
         if self.mode is ProfilingMode.ORACLE:
             true_model = ThroughputModel(
                 profiles.true_throughput_params(self.model_name, gpu_type))
-            return true_model.throughput_batch(local, num_gpus, num_nodes,
-                                               accum_steps)
+            return true_model.throughput_grid(grid, num_gpus, num_nodes)
 
         fit = self._fit(gpu_type)
         if fit is not None and (num_gpus == 1 or fit.has_multi_gpu):
-            return ThroughputModel(fit.params).throughput_batch(
-                local, num_gpus, num_nodes, accum_steps)
+            return ThroughputModel(fit.params).throughput_grid(
+                grid, num_gpus, num_nodes)
 
         if fit is not None and fit.has_single_gpu:
-            estimate = self._bootstrap_multi_gpu_batch(
-                gpu_type, local, num_gpus, num_nodes, accum_steps)
-            if estimate is not None:
-                return estimate
-            # Perfect-scaling assumption: N x the single-replica rate at
-            # accumulation 1 (matching the scalar path exactly).
-            singles = ThroughputModel(fit.params).throughput_batch(
-                local, 1, 1, 1)
-            return singles * num_gpus
+            return self._bootstrap_multi_gpu_grid(fit, grid, num_gpus,
+                                                  num_nodes)
 
-        return ThroughputModel(_PRIOR_PARAMS).throughput_batch(
-            local, num_gpus, num_nodes, accum_steps)
+        return ThroughputModel(_PRIOR_PARAMS).throughput_grid(
+            grid, num_gpus, num_nodes)
 
     def _bootstrap_multi_gpu(self, gpu_type: str, local_bsz: int,
                              num_gpus: int, num_nodes: int,
@@ -351,42 +342,47 @@ class JobPerfEstimator:
         return bootstrap_throughput(singles[gpu_type], singles[reference],
                                     ref_multi)
 
-    def _bootstrap_multi_gpu_batch(self, gpu_type: str, local: np.ndarray,
-                                   num_gpus: int, num_nodes: int,
-                                   accum_steps: np.ndarray | int,
-                                   ) -> np.ndarray | None:
-        """Vectorized Equation (1): per grid point, rescale the fastest
-        multi-GPU-experienced reference type (the scalar path's
-        ``pick_reference_type`` argmax, applied elementwise)."""
-        singles: dict[str, np.ndarray] = {}
+    def _bootstrap_multi_gpu_grid(self, fit: FitResult, grid: BatchGrid,
+                                  num_gpus: int,
+                                  num_nodes: int) -> np.ndarray:
+        """Vectorized Equation (1) for a type with only a 1-GPU fit.
+
+        Per distinct local size, the reference is the scalar path's
+        ``pick_reference_type`` argmax: the multi-GPU-experienced type
+        with the largest positive 1-GPU throughput, first listed winning
+        ties.  Local sizes without one fall back to perfect scaling.
+        """
+        single = ThroughputModel(fit.params).single_gpu_throughput(grid)
+        inv = grid.inverse
+        experienced = []
         for t in self.gpu_types:
             fit_t = self._fit(t)
-            if fit_t is not None and fit_t.has_single_gpu:
-                singles[t] = ThroughputModel(fit_t.params).throughput_batch(
-                    local, 1, 1, 1)
-        experienced = [t for t in self.gpu_types
-                       if self.has_multi_gpu_experience(t) and t in singles]
-        if not experienced or gpu_type not in singles:
-            return None
-        # Reference selection mirrors pick_reference_type: the experienced
-        # type with the largest 1-GPU throughput, first listed winning ties.
-        stacked = np.stack([singles[t] for t in experienced])
-        masked = np.where(stacked > 0, stacked, -np.inf)
-        ref_idx = np.argmax(masked, axis=0)
-        points = np.arange(local.shape[0])
-        ref_single = stacked[ref_idx, points]
-        multis = np.stack([
-            ThroughputModel(self._fit(t).params).throughput_batch(
-                local, num_gpus, num_nodes, accum_steps)
-            for t in experienced])
-        ref_multi = multis[ref_idx, points]
+            if (fit_t is not None and fit_t.has_multi_gpu
+                    and fit_t.has_single_gpu):
+                experienced.append(ThroughputModel(fit_t.params))
+        if not experienced:
+            # Perfect-scaling assumption: N x the single-replica rate at
+            # accumulation 1 (matching the scalar path exactly).
+            return (single * num_gpus)[inv]
+        if len(experienced) == 1:
+            ref_model = experienced[0]
+            ref_single = ref_model.single_gpu_throughput(grid)
+            ref_multi = ref_model.throughput_grid(grid, num_gpus, num_nodes)
+        else:
+            stacked = np.stack([model.single_gpu_throughput(grid)
+                                for model in experienced])
+            ref_idx = np.argmax(np.where(stacked > 0, stacked, -np.inf),
+                                axis=0)
+            ref_single = stacked[ref_idx, np.arange(ref_idx.size)]
+            multis = np.stack([model.throughput_grid(grid, num_gpus, num_nodes)
+                               for model in experienced])
+            ref_multi = multis[ref_idx[inv], np.arange(inv.size)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            estimate = singles[gpu_type] / ref_single * ref_multi
-        # Points where no experienced type has positive 1-GPU throughput
-        # fall back to perfect scaling, exactly like the scalar dispatch.
-        fallback = singles[gpu_type] * num_gpus
-        return np.where(np.isfinite(ref_single) & (ref_single > 0),
-                        estimate, fallback)
+            estimate = (single / ref_single)[inv] * ref_multi
+        valid = np.isfinite(ref_single) & (ref_single > 0)
+        if valid.all():
+            return estimate
+        return np.where(valid[inv], estimate, (single * num_gpus)[inv])
 
     # -- goodput -------------------------------------------------------------
 
@@ -479,8 +475,7 @@ class _ThroughputAdapter:
         return self._estimator.throughput(
             self._gpu_type, int(local_bsz), num_gpus, num_nodes, accum_steps)
 
-    def throughput_batch(self, local_bsz: np.ndarray, num_gpus: int,
-                         num_nodes: int,
-                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        return self._estimator.throughput_batch(
-            self._gpu_type, local_bsz, num_gpus, num_nodes, accum_steps)
+    def throughput_grid(self, grid: BatchGrid, num_gpus: int,
+                        num_nodes: int) -> np.ndarray:
+        return self._estimator.throughput_grid(
+            self._gpu_type, grid, num_gpus, num_nodes)

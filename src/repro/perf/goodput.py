@@ -36,10 +36,36 @@ _SHORTLIST_RTOL: float = 1e-12
 #: Candidate grids are pure functions of (shape, batch-size caps); one
 #: cluster-wide scheduling round asks for the same few dozen grids hundreds
 #: of times (every job of a model on every GPU type), so the vectorized
-#: path memoizes them together with their numpy column views.
-_GRID_CACHE: dict[tuple, tuple[list[tuple[int, int]],
-                               "np.ndarray", "np.ndarray"]] = {}
+#: path memoizes them together with their numpy columns.
+_GRID_CACHE: dict[tuple, BatchGrid] = {}
 _GRID_CACHE_MAX = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class BatchGrid:
+    """A candidate (accum_steps, local_bsz) grid for one GPU count, with
+    the numpy columns a batched evaluation reads.
+
+    A grid holds only a few points per local batch size (one per
+    accumulation level), so the per-local work of the throughput model
+    runs on :attr:`locals_` and is gathered to the points via
+    :attr:`inverse`.
+    """
+
+    pairs: list[tuple[int, int]]   # (accum_steps, local_bsz) per point
+    accum: np.ndarray              # float accum_steps per point
+    total: np.ndarray              # float total batch size per point
+    locals_: np.ndarray            # sorted distinct float local sizes
+    inverse: np.ndarray            # point -> index into ``locals_``
+
+    @classmethod
+    def from_pairs(cls, num_gpus: int,
+                   pairs: list[tuple[int, int]]) -> BatchGrid:
+        accum = np.array([a for a, _ in pairs], dtype=float)
+        local = np.array([m for _, m in pairs], dtype=float)
+        locals_, inverse = np.unique(local, return_inverse=True)
+        return cls(pairs=pairs, accum=accum, total=num_gpus * local * accum,
+                   locals_=locals_, inverse=inverse)
 
 
 @dataclass(frozen=True)
@@ -72,19 +98,19 @@ def candidate_local_sizes(lo: int, hi: int, *, max_candidates: int = 24) -> list
 class GoodputModel:
     """Combines one throughput model with the job's efficiency model.
 
-    Throughput models with a ``throughput_batch`` method get the batched
-    grid evaluation (one numpy pass over the whole (accum_steps x
-    candidate-local-bsz) grid); others get the scalar reference loop.  Both
-    produce identical plans: the vectorized pass ranks candidates in bulk,
-    then re-evaluates the (tiny) shortlist of maxima through the scalar
-    path so returned numbers are bit-identical.
+    Throughput models with a ``throughput_grid`` method get the batched
+    grid evaluation (one numpy pass over a :class:`BatchGrid`); others get
+    the scalar reference loop.  Both produce identical plans: the
+    vectorized pass ranks candidates in bulk, then re-evaluates the (tiny)
+    shortlist of maxima through the scalar path so returned numbers are
+    bit-identical.
     """
 
     def __init__(self, throughput_model: ThroughputModel,
                  efficiency_model: EfficiencyModel):
         self.throughput_model = throughput_model
         self.efficiency_model = efficiency_model
-        self.vectorized = hasattr(throughput_model, "throughput_batch")
+        self.vectorized = hasattr(throughput_model, "throughput_grid")
 
     def evaluate(self, local_bsz: int, num_gpus: int, num_nodes: int,
                  accum_steps: int = 1) -> BatchPlan:
@@ -127,25 +153,19 @@ class GoodputModel:
             if not pairs:
                 return None
             return self._best_of_grid_scalar(pairs, num_gpus, num_nodes)
-        pairs, accums, locals_ = self._cached_grid(key, build)
-        if not pairs:
+        grid = self._cached_grid(key, num_gpus, build)
+        if not grid.pairs:
             return None
-        return self._best_of_grid_vectorized(pairs, accums, locals_,
-                                             num_gpus, num_nodes)
+        return self._best_of_grid_vectorized(grid, num_gpus, num_nodes)
 
     @staticmethod
-    def _cached_grid(key, build):
-        entry = _GRID_CACHE.get(key)
-        if entry is None:
-            pairs = build()
-            accums = np.fromiter((a for a, _ in pairs), dtype=np.int64,
-                                 count=len(pairs))
-            locals_ = np.fromiter((m for _, m in pairs), dtype=np.int64,
-                                  count=len(pairs))
+    def _cached_grid(key, num_gpus: int, build) -> BatchGrid:
+        grid = _GRID_CACHE.get(key)
+        if grid is None:
             if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
                 _GRID_CACHE.clear()
-            _GRID_CACHE[key] = entry = (pairs, accums, locals_)
-        return entry
+            _GRID_CACHE[key] = grid = BatchGrid.from_pairs(num_gpus, build())
+        return grid
 
     # -- candidate grids ---------------------------------------------------
 
@@ -196,26 +216,23 @@ class GoodputModel:
                 best = plan
         return best
 
-    def _best_of_grid_vectorized(self, pairs: list[tuple[int, int]],
-                                 accums: np.ndarray, locals_: np.ndarray,
-                                 num_gpus: int,
+    def _best_of_grid_vectorized(self, grid: BatchGrid, num_gpus: int,
                                  num_nodes: int) -> BatchPlan | None:
         """Rank the whole grid in one batched pass, then pin the winner to
         the scalar path so the returned plan is bit-identical to
         :meth:`_best_of_grid_scalar`."""
-        xput = self.throughput_model.throughput_batch(
-            locals_, num_gpus, num_nodes, accums)
-        totals = num_gpus * locals_ * accums
-        goodput = xput * self.efficiency_model.efficiency_batch(totals)
+        xput = self.throughput_model.throughput_grid(grid, num_gpus,
+                                                     num_nodes)
+        goodput = xput * self.efficiency_model.efficiency_batch(grid.total)
         best = float(np.max(goodput))
         shortlist = np.flatnonzero(goodput >= best - _SHORTLIST_RTOL
                                    * abs(best))
         if shortlist.size == 0:  # non-finite grid; defer to the reference
-            return self._best_of_grid_scalar(pairs, num_gpus, num_nodes)
+            return self._best_of_grid_scalar(grid.pairs, num_gpus, num_nodes)
         best_plan: BatchPlan | None = None
         for idx in shortlist:
-            plan = self.evaluate(int(locals_[idx]), num_gpus, num_nodes,
-                                 int(accums[idx]))
+            accum, local = grid.pairs[idx]
+            plan = self.evaluate(local, num_gpus, num_nodes, accum)
             if best_plan is None or plan.goodput > best_plan.goodput:
                 best_plan = plan
         return best_plan

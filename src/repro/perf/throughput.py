@@ -22,8 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.perf.goodput import BatchGrid
 
 #: Overlap exponent; larger means less compute/communication overlap.
 GAMMA: float = 1.6
@@ -104,38 +108,43 @@ class ThroughputModel:
 
     # -- vectorized entry points ------------------------------------------
 
-    def iter_time_batch(self, local_bsz: np.ndarray, num_gpus: int,
-                        num_nodes: int,
-                        accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`iter_time` over arrays of (local_bsz, accum).
+    def _phases(self, grid: BatchGrid, num_gpus: int,
+                num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """``T_grad`` and the overlapped compute/sync phase at each distinct
+        local size of ``grid`` (sorted ascending, so the first is the least).
 
-        The allocation shape ``(num_gpus, num_nodes)`` is fixed — the sync
-        phase is one scalar — while per-GPU batch size and accumulation
-        steps vary elementwise.  One call evaluates a whole candidate grid,
-        which is what keeps the per-round goodput pass off the scalar
-        Python path.
+        These hold both array ``pow``s of the model, so they run once per
+        distinct local batch size and callers gather the results.
         """
-        local = np.asarray(local_bsz, dtype=float)
-        accum = np.asarray(accum_steps, dtype=float)
-        if local.size and local.min() <= 0:
+        local = grid.locals_
+        if local.size and local[0] <= 0:
             raise ValueError("local_bsz must be positive")
-        if accum.size and accum.min() < 1:
-            raise ValueError("accum_steps must be >= 1")
         p = self.params
         t_grad = p.alpha_c + p.beta_c * local
         t_sync = self.sync_time(num_nodes, num_gpus)
         g = p.gamma
-        overlapped = (t_grad ** g + t_sync ** g) ** (1.0 / g)
-        return (accum - 1) * t_grad + overlapped
+        return t_grad, (t_grad ** g + t_sync ** g) ** (1.0 / g)
 
-    def throughput_batch(self, local_bsz: np.ndarray, num_gpus: int,
-                         num_nodes: int,
-                         accum_steps: np.ndarray | int = 1) -> np.ndarray:
-        """Vectorized :meth:`throughput` over arrays of (local_bsz, accum)."""
-        local = np.asarray(local_bsz, dtype=float)
-        accum = np.asarray(accum_steps, dtype=float)
-        total = num_gpus * local * accum
-        return total / self.iter_time_batch(local, num_gpus, num_nodes, accum)
+    def throughput_grid(self, grid: BatchGrid, num_gpus: int,
+                        num_nodes: int) -> np.ndarray:
+        """Vectorized :meth:`throughput` at every point of a candidate grid
+        built for ``num_gpus`` GPUs.
+
+        The allocation shape ``(num_gpus, num_nodes)`` is fixed — the sync
+        phase is one scalar — so the phases run once per distinct local
+        batch size; each point then costs one multiply-add and a divide.
+        """
+        if grid.accum.size and grid.accum.min() < 1:
+            raise ValueError("accum_steps must be >= 1")
+        t_grad, overlapped = self._phases(grid, num_gpus, num_nodes)
+        inv = grid.inverse
+        return grid.total / ((grid.accum - 1) * t_grad[inv] + overlapped[inv])
+
+    def single_gpu_throughput(self, grid: BatchGrid) -> np.ndarray:
+        """Vectorized 1-GPU, no-accumulation :meth:`throughput` at each
+        distinct local size of ``grid`` (aligned with ``grid.locals_``)."""
+        _, overlapped = self._phases(grid, 1, 1)
+        return grid.locals_ / overlapped
 
 
 def perfect_scaling_estimate(single_gpu_throughput: float, num_gpus: int) -> float:

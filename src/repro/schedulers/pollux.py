@@ -23,7 +23,6 @@ Faithful-to-behaviour reimplementation of the aspects the paper evaluates:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -16,7 +16,7 @@ uninterrupted one.
 Durability contract:
 
 * every checkpoint is written with the shared write-tmp-then-rename helper
-  (:func:`repro.io.atomic_write_bytes`), so a crash mid-write never
+  (:func:`repro.atomicio.atomic_write_bytes`), so a crash mid-write never
   corrupts an existing checkpoint — at worst it leaves a partial ``.tmp``
   sibling that is ignored and overwritten;
 * the payload is guarded by a SHA-256 checksum in the header;
@@ -189,9 +189,9 @@ def write_checkpoint(state: CheckpointState, path: str | Path, *,
 
     Layout: one ASCII header line ``REPRO-CKPT v<version> <sha256-hex>
     <payload-bytes>\\n`` followed by the pickle payload.  The write goes
-    through :func:`repro.io.atomic_write_bytes`, so an interrupted write
-    (including one killed by ``crash_hook``) leaves any previous file at
-    ``path`` untouched.
+    through :func:`repro.atomicio.atomic_write_bytes`, so an interrupted
+    write (including one killed by ``crash_hook``) leaves any previous file
+    at ``path`` untouched.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.atomicio import atomic_write_bytes, atomic_write_text
-from repro.cluster import presets
 from repro.jobs.job import make_job
 from repro.obs.diff import diff_runs
 from repro.schedulers.sia import SiaScheduler
@@ -14,7 +13,7 @@ from repro.sim.checkpoint import (CheckpointConfig, CheckpointCorruptError,
                                   CheckpointError, CheckpointState)
 from repro.sim.engine import Simulator, SimulatorConfig
 from repro.sim.faults import JobCrashModel, NodeCrashModel
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 def _jobs(n=4, scale=0.02):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.types import AdaptivityMode, Configuration, ProfilingMode
+from repro.core.types import AdaptivityMode, ProfilingMode
 from repro.jobs.job import make_job
 from repro.schedulers import (FIFOScheduler, ShockwaveScheduler,
                               SRTFScheduler, ThemisScheduler)

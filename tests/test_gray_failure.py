@@ -2,7 +2,6 @@
 scoring and quarantine (repro.core.health), the estimator's telemetry
 defense, fallible placements, and health-event persistence."""
 
-import math
 import random
 
 import pytest

@@ -3,8 +3,7 @@ types"): batch inference and latency-SLO serving."""
 
 import pytest
 
-from repro.cluster import presets
-from repro.core.types import Configuration, ProfilingMode
+from repro.core.types import Configuration
 from repro.jobs.inference import (BatchInferenceEstimator,
                                   LatencySLOEstimator, serving_throughput)
 from repro.jobs.job import make_job

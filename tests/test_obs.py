@@ -16,7 +16,7 @@ from repro.schedulers import (FIFOScheduler, GavelScheduler, PolluxScheduler,
                               ShockwaveScheduler, SiaScheduler, SRTFScheduler,
                               ThemisScheduler)
 from repro.schedulers.base import PLAN_PHASES
-from repro.sim.engine import SimulatorConfig, simulate
+from repro.sim.engine import simulate
 from repro.sim.telemetry import JobRecord, RoundRecord, SimulationResult
 
 

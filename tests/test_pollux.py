@@ -1,9 +1,6 @@
 """Tests for the Pollux baseline: type-blind estimator, GA, mixed-type
 fix-up heuristic (Section 4.3)."""
 
-import numpy as np
-import pytest
-
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.job import make_job
 from repro.perf import profiles

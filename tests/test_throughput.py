@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.perf.goodput import BatchGrid
 from repro.perf.throughput import (GAMMA, ThroughputModel, ThroughputParams,
                                    perfect_scaling_estimate,
                                    validate_params_finite)
@@ -92,6 +93,37 @@ class TestThroughput:
     def test_monotone_in_gpus_single_node(self, k):
         model = ThroughputModel(PARAMS)
         assert model.throughput(64, k, 1) >= model.throughput(64, k - 1, 1)
+
+
+class TestThroughputGrid:
+    PAIRS = [(1, 8), (1, 32), (2, 8), (2, 32), (4, 8), (4, 17)]
+
+    @pytest.mark.parametrize("k,n", [(1, 1), (4, 1), (8, 2)])
+    def test_matches_scalar_throughput(self, model, k, n):
+        grid = BatchGrid.from_pairs(k, self.PAIRS)
+        assert list(grid.locals_) == [8.0, 17.0, 32.0]
+        expected = [model.throughput(m, k, n, s) for s, m in self.PAIRS]
+        assert list(model.throughput_grid(grid, k, n)) \
+            == pytest.approx(expected, rel=1e-12)
+
+    def test_single_gpu_per_distinct_local(self, model):
+        grid = BatchGrid.from_pairs(4, self.PAIRS)
+        expected = [model.throughput(m, 1, 1) for m in (8, 17, 32)]
+        assert list(model.single_gpu_throughput(grid)) \
+            == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("pairs", [[(1, 4), (2, 0)], [(1, 4), (1, -2)]])
+    def test_rejects_nonpositive_local(self, model, pairs):
+        grid = BatchGrid.from_pairs(2, pairs)
+        with pytest.raises(ValueError, match="local_bsz"):
+            model.throughput_grid(grid, 2, 1)
+        with pytest.raises(ValueError, match="local_bsz"):
+            model.single_gpu_throughput(grid)
+
+    def test_rejects_zero_accum(self, model):
+        grid = BatchGrid.from_pairs(2, [(2, 4), (0, 8)])
+        with pytest.raises(ValueError, match="accum_steps"):
+            model.throughput_grid(grid, 2, 1)
 
 
 class TestParams:

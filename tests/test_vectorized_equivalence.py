@@ -7,7 +7,7 @@ re-evaluates the shortlist of maxima through the scalar path (see
 ``repro.perf.goodput``), so equality here is bitwise, not approximate.
 The scalar reference is ``GoodputModel._best_of_grid_scalar``, which
 ``GoodputModel`` selects for throughput models without a
-``throughput_batch`` method; :func:`scalar_path` hides that method from
+``throughput_grid`` method; :func:`scalar_path` hides that method from
 the estimators' throughput adapter.
 """
 
@@ -18,6 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.cluster import presets
+from repro.core.bootstrap import pick_reference_type
 from repro.core.policy import SiaPolicy
 from repro.core.types import Configuration, ProfilingMode
 from repro.jobs.hybrid import HybridSpec
@@ -28,7 +29,7 @@ from repro.perf import profiles
 from repro.perf.estimator import JobConstraints, JobPerfEstimator
 from repro.perf.fitting import Observation
 from repro.perf.goodput import GoodputModel
-from repro.perf.throughput import ThroughputModel
+from repro.perf.throughput import ThroughputModel, ThroughputParams
 from repro.schedulers import SiaScheduler
 from repro.schedulers.base import JobView
 from repro.sim.engine import simulate
@@ -45,9 +46,9 @@ CONFIGS = [Configuration(n, k, t)
 @contextmanager
 def scalar_path():
     """Every estimator query inside the block takes the scalar reference
-    loop: the throughput adapter stops offering ``throughput_batch``."""
+    loop: the throughput adapter stops offering ``throughput_grid``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.delattr(est_mod._ThroughputAdapter, "throughput_batch")
+        mp.delattr(est_mod._ThroughputAdapter, "throughput_grid")
         yield
 
 
@@ -73,10 +74,15 @@ def true_observation(model, gpu_type, n, k, m, s=1) -> Observation:
                        iter_time=true_model.iter_time(m, k, n, s))
 
 
-def feed(estimators, model):
+def feed(estimators, model, experienced=("rtx",)):
+    """Multi-GPU experience on each type in ``experienced``: with two types
+    the Equation (1) reference is an argmax, with none every multi-GPU
+    estimate on a profiled type falls back to perfect scaling."""
     for est in estimators:
-        for k in (2, 4):
-            est.add_observation(true_observation(model, "rtx", 1, k, 16))
+        for gpu_type in experienced:
+            for k in (2, 4):
+                est.add_observation(
+                    true_observation(model, gpu_type, 1, k, 16))
 
 
 class TestEstimatorEquivalence:
@@ -90,11 +96,13 @@ class TestEstimatorEquivalence:
             assert not GoodputModel(adapter, efficiency).vectorized
         assert GoodputModel(adapter, efficiency).vectorized
 
+    @pytest.mark.parametrize("experienced", [("rtx",), ("rtx", "a100"), ()],
+                             ids=["rtx", "rtx+a100", "none"])
     @pytest.mark.parametrize("mode", list(ProfilingMode))
     @pytest.mark.parametrize("model", ["bert", "resnet50", "yolov3"])
-    def test_best_plan_identical(self, mode, model):
+    def test_best_plan_identical(self, mode, model, experienced):
         scalar, vectorized = make_pair(mode, model)
-        feed((scalar, vectorized), model)
+        feed((scalar, vectorized), model, experienced)
         with scalar_path():
             expected = [scalar.best_plan(config) for config in CONFIGS]
         for config, a in zip(CONFIGS, expected):
@@ -104,6 +112,35 @@ class TestEstimatorEquivalence:
     @pytest.mark.parametrize("mode", list(ProfilingMode))
     def test_rigid_fixed_total_identical(self, mode):
         scalar, vectorized = make_pair(mode, "bert", fixed_total_bsz=64)
+        with scalar_path():
+            expected = [scalar.best_plan(config) for config in CONFIGS]
+        assert expected == [vectorized.best_plan(c) for c in CONFIGS]
+
+    def test_bootstrap_reference_switches_across_local_sizes(self):
+        """Two experienced types whose 1-GPU speeds cross inside the grid:
+        a100 is the Equation (1) reference at small local sizes, rtx at
+        large ones, so the per-local argmax picks both in one grid."""
+        compute = {"t4": (0.02, 0.004), "rtx": (0.10, 0.001),
+                   "a100": (0.01, 0.003)}
+        pair = make_pair(ProfilingMode.NO_PROF, "yolov3")
+        for gpu_type, (alpha_c, beta_c) in compute.items():
+            truth = ThroughputModel(ThroughputParams(
+                alpha_c=alpha_c, beta_c=beta_c, alpha_r=0.02, beta_r=0.002,
+                alpha_n=0.06, beta_n=0.006))
+            plans = [(1, 1, 8), (1, 1, 64)]
+            if gpu_type != "t4":
+                plans += [(1, 2, 16), (1, 4, 16)]
+            for est in pair:
+                for n, k, m in plans:
+                    est.add_observation(Observation(
+                        gpu_type=gpu_type, num_nodes=n, num_gpus=k,
+                        local_bsz=m, accum_steps=1,
+                        iter_time=truth.iter_time(m, k, n)))
+        scalar, vectorized = pair
+        experience = {t: t != "t4" for t in TYPES}
+        assert [pick_reference_type(experience, {
+            t: scalar._single_gpu_xput(t, m) for t in TYPES})
+            for m in (8, 59)] == ["a100", "rtx"]
         with scalar_path():
             expected = [scalar.best_plan(config) for config in CONFIGS]
         assert expected == [vectorized.best_plan(c) for c in CONFIGS]
@@ -128,6 +165,39 @@ class TestEstimatorEquivalence:
         values = est.goodput_batch(CONFIGS)
         for config, value in zip(CONFIGS, values):
             assert float(value) == est.goodput(config)
+
+
+class TestPlainModelEquivalence:
+    """A bare ``ThroughputModel`` under ``GoodputModel`` — the Pollux and
+    ``profiles`` path — against the scalar reference loop."""
+
+    SHAPES = [(1, 1), (1, 2), (1, 4), (1, 8), (2, 16), (4, 32)]
+
+    @pytest.mark.parametrize("fixed_total_bsz", [None, 64],
+                             ids=["adaptive", "fixed-total"])
+    @pytest.mark.parametrize("model", ["bert", "resnet50", "yolov3"])
+    def test_optimize_matches_scalar_loop(self, model, fixed_total_bsz):
+        profile = profiles.model_profile(model)
+        for gpu_type in TYPES:
+            goodput = profiles.true_goodput_model(model, gpu_type)
+            assert goodput.vectorized
+            cap = profiles.max_local_bsz(model, gpu_type)
+            if cap < 1:
+                continue
+            for n, k in self.SHAPES:
+                if fixed_total_bsz is None:
+                    pairs = GoodputModel._adaptive_grid(
+                        k, cap, profile.max_bsz, profile.min_bsz)
+                else:
+                    pairs = GoodputModel._fixed_total_grid(
+                        k, fixed_total_bsz, cap)
+                expected = (goodput._best_of_grid_scalar(pairs, k, n)
+                            if pairs else None)
+                plan = goodput.optimize_batch_size(
+                    k, n, max_local_bsz=cap, max_total_bsz=profile.max_bsz,
+                    min_total_bsz=profile.min_bsz,
+                    fixed_total_bsz=fixed_total_bsz)
+                assert plan == expected, f"{model} {gpu_type} {n}x{k}"
 
 
 class TestPolicyEquivalence:
